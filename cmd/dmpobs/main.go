@@ -152,7 +152,8 @@ func summarize(w io.Writer, name string, log *telemetry.Log, width, top int) err
 	}
 
 	if counts[telemetry.KindWindowStats] > 0 {
-		// The run-level executor counters: the last window_stats event wins
+		// Logs from older dmpsim -parallel runs end with the windowed
+		// executor's run-level counters: the last window_stats event wins
 		// (there is one per run; concatenated logs show the final run's).
 		for i := len(log.Events) - 1; i >= 0; i-- {
 			e := &log.Events[i]

@@ -99,6 +99,38 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeLegacyWindowStats feeds dmpobs a log tail from an older
+// `dmpsim -parallel` run, whose windowed executor closed the log with one
+// window_stats record. Nothing writes that record any more; the summary
+// must still read such logs and report the executor counters.
+func TestSummarizeLegacyWindowStats(t *testing.T) {
+	const legacy = `{"t":0,"ev":"job_submit","job":174,"node":-1,"lender":-1,"mb":0,"aux":0,"v":"0","detail":""}
+{"t":104971.27311106265,"ev":"job_end","job":174,"node":-1,"lender":-1,"mb":0,"aux":0,"v":"0","detail":"completed"}
+{"t":105000,"ev":"pool_sample","free_mb":8388608,"lent_mb":0,"queue":0,"busy":0,"running":0}
+{"t":104971.27311106265,"ev":"window_stats","job":-1,"node":597,"lender":0,"mb":3561,"aux":4653,"v":"0","detail":""}
+`
+	log, err := telemetry.ReadLog(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := summarize(&out, "legacy", log, 60, 4); err != nil {
+		t.Fatal(err)
+	}
+	s := out.String()
+	for _, want := range []string{
+		"window_stats           1",
+		"completed               1",
+		"window executor",
+		"3561 popped, 4653 events fired",
+		"597 multi-event windows, 0 proven independent",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("summary missing %q:\n%s", want, s)
+		}
+	}
+}
+
 func TestSummarizeEmptyLog(t *testing.T) {
 	var out strings.Builder
 	if err := summarize(&out, "empty", &telemetry.Log{}, 60, 4); err != nil {

@@ -35,12 +35,11 @@ var recorderReadOnly = map[string]bool{
 // engineScheduling lists the Engine methods that enqueue, move, or dispatch
 // events; their relative order decides tie-breaking between same-time
 // events. ScheduleTag/AfterTag assign seqs exactly as their untagged forms
-// do, and FireWindowed dispatches a popped window member — calling any of
-// them from a map range would order the schedule (or the firing of a
-// window) by map iteration, which varies run to run.
+// do — calling any of them from a map range would order the schedule by map
+// iteration, which varies run to run.
 var engineScheduling = map[string]bool{
 	"Schedule": true, "After": true, "Every": true, "Reschedule": true,
-	"ScheduleTag": true, "AfterTag": true, "FireWindowed": true,
+	"ScheduleTag": true, "AfterTag": true,
 }
 
 func runMapOrder(pass *Pass) {

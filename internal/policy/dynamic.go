@@ -76,10 +76,10 @@ func AdjustRanked(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetM
 // (the job's frozen pressure-domain set, sorted ascending): the grow path
 // borrows only from lenders in doms, preferring the compute node's own
 // shard first, and reports ErrOutOfMemory when those domains are exhausted
-// even if other domains still hold free memory. Strict confinement is what
-// makes window members with disjoint domain sets commute — a member can
-// neither read nor take memory outside its set. Shrinking releases existing
-// leases, which by construction already lie inside doms.
+// even if other domains still hold free memory. Strict confinement keeps a
+// job's contention footprint inside its frozen domain set — it can neither
+// read nor take memory outside the set. Shrinking releases existing leases,
+// which by construction already lie inside doms.
 //
 //dmp:hotpath
 func (a *Adjuster) AdjustDomains(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64, doms []int32) error {

@@ -67,12 +67,12 @@ const (
 	// after the original kinds so their numeric values — and with them the
 	// golden digests of logs containing no OOM events — are unchanged.
 	KindJobAttemptEnd
-	// KindWindowStats is emitted once at the end of a windowed-executor run
-	// with the window-parallelism counters: MB is the window count, Aux the
-	// fired-event count, Node the multi-member window count and Lender the
-	// proven-independent window count; Job is -1. Appended after the
-	// original kinds so their numeric values — and with them the golden
-	// digests of existing logs — are unchanged.
+	// KindWindowStats is the run-level record of the removed windowed
+	// executor, which older dmpsim -parallel runs wrote once at the end of
+	// the log: MB is the window count, Aux the fired-event count, Node the
+	// multi-member window count and Lender the proven-independent window
+	// count; Job is -1. Nothing emits it any more. It stays so old logs
+	// still read and so KindBranch keeps its numeric value.
 	KindWindowStats
 
 	// KindBranch is emitted on the base run's recorder when a what-if

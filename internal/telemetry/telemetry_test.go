@@ -346,3 +346,36 @@ func TestAggregateFromLog(t *testing.T) {
 		t.Fatalf("rebuilt aggregates wrong:\n%s", out.String())
 	}
 }
+
+// legacyWindowStatsLog is the tail of a log written by an older
+// `dmpsim -parallel` run: the windowed executor closed its log with one
+// run-level window_stats record. Nothing emits that kind any more, but such
+// logs must keep decoding and aggregating.
+const legacyWindowStatsLog = `{"t":0,"ev":"job_submit","job":174,"node":-1,"lender":-1,"mb":0,"aux":0,"v":"0","detail":""}
+{"t":10,"ev":"job_start","job":174,"node":2,"lender":-1,"mb":1024,"aux":512,"v":"0","detail":""}
+{"t":104971.27311106265,"ev":"job_end","job":174,"node":-1,"lender":-1,"mb":0,"aux":0,"v":"0","detail":"completed"}
+{"t":105000,"ev":"pool_sample","free_mb":8388608,"lent_mb":0,"queue":0,"busy":0,"running":0}
+{"t":104971.27311106265,"ev":"window_stats","job":-1,"node":597,"lender":0,"mb":3561,"aux":4653,"v":"0","detail":""}
+`
+
+func TestReadLogLegacyWindowStats(t *testing.T) {
+	log, err := ReadLog(strings.NewReader(legacyWindowStatsLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log.Events) != 4 || log.Series.Len() != 1 {
+		t.Fatalf("decoded %d events and %d samples, want 4 and 1", len(log.Events), log.Series.Len())
+	}
+	ws := log.Events[3]
+	want := Event{T: 104971.27311106265, Kind: KindWindowStats, Job: -1, Node: 597, Lender: 0, MB: 3561, Aux: 4653}
+	if ws != want {
+		t.Fatalf("window_stats decoded as %+v, want %+v", ws, want)
+	}
+	var out bytes.Buffer
+	if err := AggregateFromLog(log).WriteText(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), `dismem_pool_samples_total 1`) {
+		t.Fatalf("aggregates over a legacy log wrong:\n%s", out.String())
+	}
+}

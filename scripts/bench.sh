@@ -11,15 +11,14 @@
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled
 # and serial, the replicated headlines, trace generation vs cache hit), the
 # end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
-# grizzly-scale, its parallel twin, and the 100k-node scenario separately at
+# grizzly-scale, its domains twin, and the 100k-node scenarios separately at
 # 1x — one iteration is a full cluster-scale run), the refresh
 # micro-benchmark (incremental, rescan, and elided modes), the per-domain
-# refresh and windowed-dispatch benchmarks, the copy-on-write fork suite
-# (snapshot cost, zero-alloc read path, first-write materialisation) and the
-# what-if branching headline (branched vs nine full runs), and the
-# micro-benchmarks for each indexed structure (lender ranking, sharded
-# ascend, dynamic placement, engine schedule/cancel, window dispatch, team
-# fan-out, trace cursor).
+# refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
+# read path, first-write materialisation) and the what-if branching headline
+# (branched vs nine full runs), and the micro-benchmarks for each indexed
+# structure (lender ranking, sharded ascend, dynamic placement, engine
+# schedule/cancel, trace cursor).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -49,21 +48,17 @@ run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 # as the code, and the cross-PR trajectory check diffs these recorded
 # numbers directly.
 run .                    'BenchmarkScenario$/^grizzly-scale$' 1x 3
-run .                    'BenchmarkScenario$/^grizzly-scale-parallel$' 1x 3
 run .                    'BenchmarkScenario$/^grizzly-scale-domains$' 1x 3
 run .                    'BenchmarkScenario$/^100k$'    1x 3
 run .                    'BenchmarkScenario$/^100k-domains$' 1x 3
 run .                    'BenchmarkWhatIf$'             1x 3
 run ./internal/core      'BenchmarkRefresh$'            1s 3
 run ./internal/core      'BenchmarkRefreshDomains'      1s 3
-run ./internal/core      'BenchmarkWindowedDispatch'    3x 3
 run ./internal/cluster   'BenchmarkFork$'               1s 3
 run ./internal/cluster   'BenchmarkLenderRank'          1s 3
 run ./internal/cluster   'BenchmarkShardedAscend'       1s 3
 run ./internal/policy    'BenchmarkPlaceDynamic'        1s 3
 run ./internal/sim       'BenchmarkEngineScheduleCancel' 1s 3
-run ./internal/sim       'BenchmarkWindowCycle'         1s 3
-run ./internal/sweep     'BenchmarkTeamDispatch'        1s 3
 run ./internal/memtrace  'BenchmarkTraceAtSequential'   1s 3
 
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
