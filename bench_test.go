@@ -62,24 +62,13 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 regenerates the whole figure — the 7×2 synthetic grid —
 // through the barrier-free pipeline. The trace cache is reset every
 // iteration so each run pays the full cold cost; cross-iteration reuse
-// would understate it.
+// would understate it. Its serial reference, BenchmarkFig5Serial, lives
+// beside the serial driver in internal/experiments.
 func BenchmarkFig5(b *testing.B) {
 	p := benchPreset()
 	for i := 0; i < b.N; i++ {
 		tracegen.ResetCache()
 		if _, err := experiments.RunFig5(p, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5Serial is the reference point for BenchmarkFig5: the
-// pre-pipeline serial driver that generates every trace from scratch.
-// The BenchmarkFig5/BenchmarkFig5Serial ratio is the pipeline's speedup.
-func BenchmarkFig5Serial(b *testing.B) {
-	p := benchPreset()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFig5Serial(p, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,11 +20,7 @@ import (
 // the end, branch overlays included.
 func (s *Simulator) SetPolicy(k policy.Kind) {
 	s.cfg.Policy = k
-	pol := policy.NewWithRanker(k, s.ranker)
-	if s.cfg.Pressure == PressureDomains {
-		pol = policy.NewDomainFirst(k)
-	}
-	s.pol = pol
+	s.pol = s.newPolicy()
 	if s.res != nil {
 		s.res.Policy = k.String()
 	}
@@ -78,7 +74,6 @@ func (s *Simulator) DescheduleRepack() {
 		s.tel.JobSubmit(id, true)
 	}
 	// The running set is empty: every contention cache is trivially stale.
-	s.trafficValid = false
 	for d := 0; d < s.nDom; d++ {
 		s.domValid[d] = false
 	}

@@ -37,12 +37,12 @@ func runLogged(t *testing.T, cfg Config, jobs []*job.Job) (*Result, []byte) {
 }
 
 // TestSingleDomainMatchesGlobal is the partition property test: one pressure
-// domain covering the whole cluster IS the global model. The single flat
-// traffic sum visits jobs and nodes in the same order, PressureBW over the
-// whole fabric bandwidth is Model.Pressure, the per-domain max fraction
-// degenerates to the global max, and the domain-first borrow walk is the
-// global lender walk — so results and telemetry must be byte-identical, not
-// merely statistically close, across the randomized differential scenarios.
+// domain covering the whole cluster IS the global model. Global pressure
+// runs the same one-domain refresh, so what differs is the lender walk: the
+// domain-first placement and AdjustDomains against the global placer and
+// Adjust. With one domain the domain-first borrow walk is the global lender
+// walk, so results and telemetry must be byte-identical, not merely
+// statistically close, across the randomized differential scenarios.
 func TestSingleDomainMatchesGlobal(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
@@ -184,35 +184,53 @@ func midRunSimulatorDomains(tb testing.TB, nJobs, nodes, doms int) *Simulator {
 }
 
 // TestRefreshDomainsAllocationFree asserts the per-event domain refresh
-// allocates nothing at steady state, like the global incremental path.
+// allocates nothing at steady state with several domains, both for a job
+// with one home domain and for one spanning several, whose refresh goes
+// through the deduplicated refresh list.
 func TestRefreshDomainsAllocationFree(t *testing.T) {
-	s := midRunSimulatorDomains(t, 32, 48, 8)
-	rj := s.runList[0]
-	s.refreshAfter(rj) // warm scratch
-	full := func() {
-		s.invalidate(rj) // defeat the elision: rebuild the touched domains
-		s.refreshAfter(rj)
+	// 24 domains of 2 nodes: every 3-node job spans two.
+	s := midRunSimulatorDomains(t, 32, 48, 24)
+	var single, spanning *runningJob
+	for _, rj := range s.runList {
+		if len(rj.homeDoms) == 1 && single == nil {
+			single = rj
+		}
+		if len(rj.homeDoms) > 1 && spanning == nil {
+			spanning = rj
+		}
 	}
-	if got := testing.AllocsPerRun(50, full); got != 0 {
-		t.Fatalf("refreshDomains allocates %.1f per call at steady state, want 0", got)
+	if single == nil || spanning == nil {
+		t.Fatal("want running jobs with one and with several home domains")
+	}
+	for _, rj := range []*runningJob{single, spanning} {
+		s.refreshDomains(rj) // warm scratch
+		full := func() {
+			s.invalidate(rj) // defeat the elision: rebuild the touched domains
+			s.refreshDomains(rj)
+		}
+		if got := testing.AllocsPerRun(50, full); got != 0 {
+			t.Fatalf("refreshDomains(job %d, %d home domains) allocates %.1f per call at steady state, want 0",
+				rj.j.ID, len(rj.homeDoms), got)
+		}
 	}
 }
 
 // BenchmarkRefreshDomains is BenchmarkRefresh's domains-mode counterpart:
 // one event's contention refresh at a high concurrent-running count. The
-// domains rows touch one job's home domains (O(Δ)); the global-incremental
-// row from BenchmarkRefresh re-sums every running job and is the reference.
+// domains rows touch one job's home domains (O(Δ)); BenchmarkRefresh's
+// incremental row, whose one global domain holds every running job, is the
+// reference.
 func BenchmarkRefreshDomains(b *testing.B) {
 	for _, doms := range []int{4, 16} {
 		b.Run(fmt.Sprintf("domains=%d", doms), func(b *testing.B) {
 			s := midRunSimulatorDomains(b, 96, 128, doms)
 			rj := s.runList[0]
-			s.refreshAfter(rj)
+			s.refreshDomains(rj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.invalidate(rj)
-				s.refreshAfter(rj)
+				s.refreshDomains(rj)
 			}
 		})
 	}

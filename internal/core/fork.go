@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"dismem/internal/policy"
 	"dismem/internal/sim"
 	"dismem/internal/telemetry"
 )
@@ -13,7 +12,7 @@ import (
 // started, paused run into an independent Simulator that can be driven to a
 // different future concurrently with the base. The expensive state is not
 // copied — the cluster ledger forks in O(shards) via its CoW layer, the
-// immutable inputs (jobs, slowdown model, domain capacities) are shared —
+// immutable inputs (jobs, domain bandwidths and capacities) are shared —
 // and everything event-bearing (engine heap, running set, records, queue,
 // caches) is deep-copied in O(live state), which is O(Δ) relative to the
 // work already simulated. A fork that re-runs the base's own configuration
@@ -82,26 +81,13 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 	f.tel = tel
 	f.forkEvents = s.eng.Fired()
 
-	// Shared immutable state: jobs, byID, model, domBW, domCapMB — the
-	// struct copy above already aliases them, which is correct because no
-	// code path writes them after New.
+	// Shared immutable state: jobs, byID, domBW, domCapMB — the struct copy
+	// above already aliases them, which is correct because no code path
+	// writes them after New.
 
 	// The ledger forks copy-on-write in O(shards).
 	f.cl = s.cl.Fork()
-
-	// Policy, ranker, and adjuster hold only scratch buffers (no decision
-	// state), so fresh instances behave identically and must not be shared
-	// across concurrently running branches. Mirrors New.
-	f.ranker = nil
-	if f.cfg.LenderPolicy == NearestFirst {
-		f.ranker = policy.NearestFirstRanker(*f.cfg.Topology)
-	}
-	f.pol = policy.NewWithRanker(f.cfg.Policy, f.ranker)
-	if f.cfg.Pressure == PressureDomains {
-		f.pol = policy.NewDomainFirst(f.cfg.Policy)
-	}
-	f.adj = policy.NewAdjuster(f.ranker)
-	f.adj.Tel = tel
+	f.buildPlacers()
 
 	// Replay the RNG to the base's draw position so the branch's future
 	// jitter sequence continues exactly where a fresh run's would.
@@ -154,27 +140,23 @@ func (s *Simulator) Fork(tel *telemetry.Recorder) (*Simulator, error) {
 
 	// Domain state: caches copy, per-domain job lists rebuild with the
 	// cloned runningJobs in the same order.
-	if s.nDom > 0 {
-		f.domTraffic = append([]float64(nil), s.domTraffic...)
-		f.domRho = append([]float64(nil), s.domRho...)
-		f.domValid = append([]bool(nil), s.domValid...)
-		f.domJobs = make([][]*runningJob, len(s.domJobs))
-		for d, list := range s.domJobs {
-			if len(list) == 0 {
-				continue
-			}
-			nl := make([]*runningJob, len(list))
-			for i, rj := range list {
-				nl[i] = f.running[rj.j.ID]
-			}
-			f.domJobs[d] = nl
+	f.domRho = append([]float64(nil), s.domRho...)
+	f.domValid = append([]bool(nil), s.domValid...)
+	f.domJobs = make([][]*runningJob, len(s.domJobs))
+	for d, list := range s.domJobs {
+		if len(list) == 0 {
+			continue
 		}
+		nl := make([]*runningJob, len(list))
+		for i, rj := range list {
+			nl[i] = f.running[rj.j.ID]
+		}
+		f.domJobs[d] = nl
 	}
 
 	// Scratch state is never shared: the fork rebuilds what it needs
 	// lazily, exactly as a fresh simulator would.
-	f.idsBuf, f.fracsBuf, f.relBuf = nil, nil, nil
-	f.prof = nil
+	f.resBuf, f.relBuf, f.prof = nil, nil, nil
 
 	// Engine: exact heap copy with every pending action rebound to the
 	// fork. The handle map re-attaches the running jobs' retained handles.

@@ -1,23 +1,26 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"dismem/internal/cluster"
 	"dismem/internal/job"
 	"dismem/internal/memtrace"
 	"dismem/internal/policy"
 	"dismem/internal/sched"
-	"dismem/internal/telemetry"
+	"dismem/internal/slowdown"
 	"dismem/internal/topology"
 )
 
 // differentialScenario builds one randomized configuration and a job
 // generator that produces identical traces on every call, so the same
-// scenario can be run through both refresh implementations.
+// scenario can be run several ways and compared.
 func differentialScenario(seed int64) (Config, func() []*job.Job) {
 	rng := rand.New(rand.NewSource(seed*7919 + 17))
 	nodes := 4 + rng.Intn(9)
@@ -80,51 +83,220 @@ func differentialScenario(seed int64) (Config, func() []*job.Job) {
 	return cfg, mkJobs
 }
 
+// rescan is the full-rescan reference for the incremental contention
+// refresh: it re-derives every running job's slowdown from the ledger with
+// no caching. Jobs are visited in ascending ID order and nodes in PerNode
+// order, and each node's traffic is summed into its home domain (0 under
+// global pressure, the node's ledger shard under domains pressure), so every
+// domain's float additions associate exactly as the incremental sum's do.
+// Its per-domain bandwidths are derived from the node list, not read from
+// the simulator. Scratch is reused across calls.
+type rescan struct {
+	bw, traffic, rho []float64
+	ids              []int
+	jobs             []*runningJob
+	slow             []float64
+}
+
+func newRescan(s *Simulator) *rescan {
+	r := &rescan{}
+	var counts []int
+	for _, n := range s.cl.Nodes() {
+		d := rescanDomain(s, n.ID)
+		for len(counts) <= d {
+			counts = append(counts, 0)
+		}
+		counts[d]++
+	}
+	for _, c := range counts {
+		r.bw = append(r.bw, s.cfg.PerNodeRemoteBW*float64(c))
+	}
+	r.traffic = make([]float64, len(r.bw))
+	r.rho = make([]float64, len(r.bw))
+	return r
+}
+
+// rescanDomain is a node's home domain, derived from the configuration.
+func rescanDomain(s *Simulator, node cluster.NodeID) int {
+	if s.cfg.Pressure == PressureDomains {
+		return s.cl.ShardOf(node)
+	}
+	return 0
+}
+
+// slowdowns returns the running jobs in ascending ID order and each job's
+// rescan-derived slowdown: the maximum over its nodes of the weighted node
+// slowdown at the node's home-domain pressure.
+func (r *rescan) slowdowns(s *Simulator) ([]*runningJob, []float64) {
+	r.ids = r.ids[:0]
+	for id := range s.running {
+		r.ids = append(r.ids, id)
+	}
+	sort.Ints(r.ids)
+	r.jobs = r.jobs[:0]
+	for _, id := range r.ids {
+		r.jobs = append(r.jobs, s.running[id])
+	}
+	for d := range r.traffic {
+		r.traffic[d] = 0
+	}
+	for _, rj := range r.jobs {
+		for i := range rj.alloc.PerNode {
+			na := &rj.alloc.PerNode[i]
+			r.traffic[rescanDomain(s, na.Node)] += slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction())
+		}
+	}
+	for d := range r.rho {
+		r.rho[d] = slowdown.PressureBW(r.traffic[d], r.bw[d])
+	}
+	r.slow = r.slow[:0]
+	for _, rj := range r.jobs {
+		slow := 1.0
+		for i := range rj.alloc.PerNode {
+			na := &rj.alloc.PerNode[i]
+			if v := slowdown.NodeSlowdownWeighted(rj.j.Profile, s.remoteFraction(na), r.rho[rescanDomain(s, na.Node)]); v > slow {
+				slow = v
+			}
+		}
+		r.slow = append(r.slow, slow)
+	}
+	return r.jobs, r.slow
+}
+
+// refresh is the rescan counterpart of one refreshDomains call over the
+// whole running set: bank every job, re-derive every slowdown, refinish.
+func (r *rescan) refresh(s *Simulator) {
+	now := s.eng.Now()
+	jobs, slow := r.slowdowns(s) // a function of the allocations alone
+	for _, rj := range jobs {
+		s.bank(rj) // at the prevailing slowdown
+	}
+	for i, rj := range jobs {
+		rj.slow = slow[i]
+		s.refinish(rj, now)
+	}
+}
+
+// currentResourcesRescan is the per-node rescan reference for
+// currentResources.
+func currentResourcesRescan(s *Simulator) sched.Resources {
+	normalMB := s.cfg.Cluster.NormalMB
+	var r sched.Resources
+	for _, n := range s.cl.Nodes() {
+		if n.IsComputeAvailable() {
+			if n.CapacityMB > normalMB {
+				r.LargeNodes++
+			} else {
+				r.NormalNodes++
+			}
+		}
+	}
+	r.FreeMB = s.cl.TotalFreeMB()
+	return r
+}
+
+// releasesRescan is the reference for releases: a fresh allocation per
+// call, visiting the running map's jobs in ascending ID order.
+func releasesRescan(s *Simulator) []sched.Release {
+	ids := make([]int, 0, len(s.running))
+	for id := range s.running {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	out := make([]sched.Release, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, s.releaseOf(s.running[id]))
+	}
+	return out
+}
+
+// runWithRescanOracle drives a scenario one event at a time and, after
+// every event, checks the incremental state against the rescan references:
+// each running job's slowdown bit for bit, the O(1) resource summary, and
+// the release list. It returns the Result and how many (event, job) checks
+// saw a slowdown above 1, so callers can tell the scenario exercised
+// contention.
+func runWithRescanOracle(t *testing.T, cfg Config, jobs []*job.Job) (*Result, int) {
+	t.Helper()
+	s, err := New(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	r := newRescan(s)
+	contended := 0
+	for ev := 1; s.eng.Step(); ev++ {
+		running, slow := r.slowdowns(s)
+		for i, rj := range running {
+			got := rj.slow
+			if math.Float64bits(got) != math.Float64bits(slow[i]) {
+				t.Fatalf("event %d (t=%g): job %d slowdown %v, rescan %v", ev, s.eng.Now(), rj.j.ID, got, slow[i])
+			}
+			if got > 1 {
+				contended++
+			}
+		}
+		if got, want := s.currentResources(), currentResourcesRescan(s); got != want {
+			t.Fatalf("event %d (t=%g): resources %+v, rescan %+v", ev, s.eng.Now(), got, want)
+		}
+		if got, want := s.releases(), releasesRescan(s); !slices.Equal(got, want) {
+			t.Fatalf("event %d (t=%g): releases %+v, rescan %+v", ev, s.eng.Now(), got, want)
+		}
+	}
+	res, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed+res.TimedOut+res.Abandoned == 0 && !res.Infeasible {
+		t.Fatal("scenario exercised nothing")
+	}
+	return res, contended
+}
+
 // TestDifferentialRefreshIncrementalVsRescan runs randomized scenarios —
 // all three policies, all backfill modes, OOM restart/abandon paths, with
-// and without topology weighting — through the incremental refresh and the
-// retained full-rescan reference, asserting the Results are deeply equal and
-// the telemetry JSONL logs are byte-identical. This is the end-to-end proof
-// that the cached contention state, the O(1) resource summary and the reused
-// scratch cannot change a single emitted byte.
+// and without topology weighting — under global pressure through the
+// per-event rescan oracle, and checks that stepping the run event by event
+// yields the same Result as Run. This is the end-to-end proof that the
+// cached contention state, the O(1) resource summary and the reused scratch
+// match a from-scratch derivation after every single event.
 func TestDifferentialRefreshIncrementalVsRescan(t *testing.T) {
+	contended := 0
 	for seed := int64(0); seed < 30; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			cfg, mkJobs := differentialScenario(seed)
-			run := func(ref bool) (*Result, []byte) {
-				var buf bytes.Buffer
-				c := cfg
-				c.Telemetry = telemetry.New(telemetry.Options{
-					Sink:           telemetry.NewJSONL(&buf),
-					SampleInterval: 90,
-				})
-				s, err := New(c, mkJobs())
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.refRescan = ref
-				res, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Telemetry.Close(); err != nil {
-					t.Fatal(err)
-				}
-				return res, buf.Bytes()
-			}
-			incRes, incLog := run(false)
-			refRes, refLog := run(true)
-			if !reflect.DeepEqual(incRes, refRes) {
-				t.Fatalf("results diverged\nincremental: %+v\nrescan:      %+v", incRes, refRes)
-			}
-			if !bytes.Equal(incLog, refLog) {
-				t.Fatalf("telemetry logs diverged (%d vs %d bytes)", len(incLog), len(refLog))
-			}
-			if incRes.Completed+incRes.TimedOut+incRes.Abandoned == 0 && !incRes.Infeasible {
-				t.Fatal("scenario exercised nothing")
+			stepped, n := runWithRescanOracle(t, cfg, mkJobs())
+			contended += n
+			if res := runSim(t, cfg, mkJobs()); !reflect.DeepEqual(stepped, res) {
+				t.Fatalf("stepped run diverged from Run\nstepped: %+v\nrun:     %+v", stepped, res)
 			}
 		})
+	}
+	if contended == 0 {
+		t.Fatal("no job ever ran above slowdown 1: the oracle compared only trivial slowdowns")
+	}
+}
+
+// TestDifferentialRefreshDomainsVsRescan runs the per-event rescan oracle
+// under several pressure domains, where each event refreshes only the
+// touched job's home domains and jobs may span domains.
+func TestDifferentialRefreshDomainsVsRescan(t *testing.T) {
+	for _, doms := range []int{2, 3} {
+		contended := 0
+		for seed := int64(0); seed < 30; seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("domains=%d/seed=%d", doms, seed), func(t *testing.T) {
+				cfg, mkJobs := differentialScenario(seed)
+				cfg.Pressure = PressureDomains
+				cfg.Domains = doms
+				_, n := runWithRescanOracle(t, cfg, mkJobs())
+				contended += n
+			})
+		}
+		if contended == 0 {
+			t.Fatalf("domains=%d: no job ever ran above slowdown 1", doms)
+		}
 	}
 }
 
@@ -168,16 +340,17 @@ func midRunSimulator(tb testing.TB, nJobs, nodes int, bf BackfillMode) *Simulato
 // build reuses the pooled buffers.
 func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 	s := midRunSimulator(t, 32, 48, ConservativeBackfill)
-	s.refreshAll() // warm caches and scratch
+	rj := s.runList[0]
+	s.refreshDomains(rj) // warm caches and scratch
 	full := func() {
-		s.trafficValid = false // defeat the elision: measure the full recompute
-		s.refreshAll()
+		s.invalidate(rj) // defeat the elision: measure the full recompute
+		s.refreshDomains(rj)
 	}
 	if got := testing.AllocsPerRun(50, full); got != 0 {
-		t.Fatalf("refreshAll allocates %.1f per call at steady state, want 0", got)
+		t.Fatalf("refreshDomains allocates %.1f per call at steady state, want 0", got)
 	}
-	if got := testing.AllocsPerRun(50, func() { s.refreshAll() }); got != 0 {
-		t.Fatalf("elided refreshAll allocates %.1f per call, want 0", got)
+	if got := testing.AllocsPerRun(50, func() { s.refreshDomains(rj) }); got != 0 {
+		t.Fatalf("elided refreshDomains allocates %.1f per call, want 0", got)
 	}
 	if s.prof == nil {
 		s.prof = &sched.Profile{}
@@ -192,25 +365,30 @@ func TestRefreshAndBackfillPassAllocationFree(t *testing.T) {
 }
 
 // BenchmarkRefresh isolates one contention refresh — the unit of work every
-// start/finish/adjust/OOM event pays — at a high concurrent-running count,
-// comparing the incremental path against the retained full rescan.
+// start/finish/adjust/OOM event pays — under global pressure at a high
+// concurrent-running count: the incremental refreshDomains with its one
+// domain invalidated, the rescan oracle, and the elided refresh of a valid
+// domain.
 func BenchmarkRefresh(b *testing.B) {
 	for _, mode := range []struct {
-		name  string
-		ref   bool
-		elide bool
-	}{{"incremental", false, false}, {"rescan", true, false}, {"elided", false, true}} {
+		name string
+		step func(s *Simulator, r *rescan, rj *runningJob)
+	}{
+		{"incremental", func(s *Simulator, _ *rescan, rj *runningJob) {
+			s.invalidate(rj)
+			s.refreshDomains(rj)
+		}},
+		{"rescan", func(s *Simulator, r *rescan, _ *runningJob) { r.refresh(s) }},
+		{"elided", func(s *Simulator, _ *rescan, rj *runningJob) { s.refreshDomains(rj) }},
+	} {
 		b.Run(mode.name, func(b *testing.B) {
 			s := midRunSimulator(b, 96, 128, EASYBackfill)
-			s.refRescan = mode.ref
-			s.refreshAll()
+			r, rj := newRescan(s), s.runList[0]
+			mode.step(s, r, rj)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !mode.elide {
-					s.trafficValid = false
-				}
-				s.refreshAll()
+				mode.step(s, r, rj)
 			}
 		})
 	}

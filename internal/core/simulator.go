@@ -27,7 +27,6 @@ type Simulator struct {
 	ranker policy.LenderRanker
 	adj    *policy.Adjuster
 	eng    *sim.Engine
-	model  *slowdown.Model
 	rng    *rand.Rand
 	tel    *telemetry.Recorder // nil when telemetry is disabled
 
@@ -44,46 +43,30 @@ type Simulator struct {
 	tickScheduled bool
 
 	// runIDs mirrors the keys of running, kept sorted ascending; runList
-	// holds the corresponding *runningJob at the same index. The refresh and
-	// backfill hot paths iterate runList instead of chasing every ID through
-	// the map on every event.
+	// holds the corresponding *runningJob at the same index. The backfill
+	// hot paths iterate runList instead of chasing every ID through the map
+	// on every event.
 	runIDs  []int
 	runList []*runningJob
 
-	// cachedTraffic memoises the flat per-node traffic sum between
-	// refreshes. It is valid only while the running set and every member's
-	// allocation are unchanged (trafficValid), in which case rho — and with
-	// it every job's slowdown — is unchanged too and refreshAll elides the
-	// whole contention recomputation. Reuse is bit-exact: the cached value
-	// is the same flat sum over the same unchanged inputs.
-	cachedTraffic float64
-	trafficValid  bool
-
-	// refRescan routes refreshAll/currentResources/releases through the
-	// retained full-rescan reference implementations. The differential tests
-	// run every scenario both ways and assert identical Results and
-	// byte-identical telemetry.
-	refRescan bool
-
-	// Pressure-domain state (Config.Pressure == PressureDomains). nDom is 0
-	// in global mode, which disables every domain path. Domains are
-	// identified with ledger shards: domain d owns shard d's contiguous
-	// node-ID range, so a node's home domain is cl.ShardOf(id) and every
-	// per-domain resource summary is the shard's O(1) summary.
+	// Pressure-domain state. Contention is scoped to nDom domains, each
+	// with its own traffic sum and rho. Global pressure is one domain
+	// spanning the whole cluster; under PressureDomains the domains are the
+	// ledger shards: domain d owns shard d's contiguous node-ID range, so a
+	// node's home domain is cl.ShardOf(id) and every per-domain resource
+	// summary is the shard's O(1) summary.
 	nDom         int
 	domBW        []float64       // per-domain aggregate remote bandwidth (GB/s)
-	domTraffic   []float64       // per-domain cached traffic sum
 	domRho       []float64       // per-domain contention pressure
 	domValid     []bool          // per-domain traffic-cache validity
 	domJobs      [][]*runningJob // per-domain home-resident jobs, ascending job ID
 	domCapMB     []int64         // per-domain memory capacity (immutable)
-	refreshEpoch uint64          // refreshDomains per-phase job dedup stamp
+	refreshEpoch uint64          // refreshList dedup stamp
 
-	// Scratch reused across refreshAll calls (the per-event hot path).
-	idsBuf   []int
-	fracsBuf []float64
-	relBuf   []sched.Release
-	prof     *sched.Profile // pooled conservative-backfill profile
+	// Scratch reused across events.
+	resBuf []*runningJob   // refreshList output
+	relBuf []sched.Release // releases output
+	prof   *sched.Profile  // pooled conservative-backfill profile
 
 	// Lifecycle state for the Start/StepUntil/Finish decomposition of Run
 	// and for Fork (see fork.go). rngDraws counts Float64 draws taken from
@@ -117,18 +100,19 @@ type runningJob struct {
 	// fractions depend only on its own allocation, which changes only at
 	// dispatch and in its own memory-update handler — never when other jobs
 	// borrow from or return memory to the same lenders — so the cache is
-	// invalidated exactly there and refreshAll does no per-node work for
+	// invalidated exactly there and a refresh does no per-node work for
 	// untouched jobs.
 	nodeTraffic []float64 // per alloc.PerNode entry: slowdown.NodeTraffic value
 	maxFrac     float64   // max distance-weighted remote fraction over nodes
-	dirty       bool      // allocation changed since recontend last ran
+	dirty       bool      // allocation changed since recontendDomains last ran
 
-	// Pressure-domain footprint (domains mode only), frozen at dispatch by
-	// domainize: the home domain of every compute node, the sorted unique
-	// home-domain list, and the domain set — home domains plus the shards
-	// of every placement lease's lender — that confines all later growth.
+	// Pressure-domain footprint, frozen at dispatch by domainize: the home
+	// domain of every compute node, the sorted unique home-domain list, and
+	// the domain set — home domains plus the domains of every placement
+	// lease's lender — that confines all later growth under domains
+	// pressure.
 	// domFrac caches, per home domain, the maximum weighted remote fraction
-	// of the job's nodes resident there; epoch is the refreshDomains dedup
+	// of the job's nodes resident there; epoch is the refreshList dedup
 	// stamp for jobs spanning several touched domains.
 	nodeDom  []int32
 	homeDoms []int32
@@ -155,24 +139,11 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 	if err := checkDependencies(jobs, byID); err != nil {
 		return nil, err
 	}
-	// A nil ranker selects the most-free lender order served directly from
-	// the cluster's free-memory index — no ranking is materialised.
-	var ranker policy.LenderRanker
-	if cfg.LenderPolicy == NearestFirst {
-		ranker = policy.NearestFirstRanker(*cfg.Topology)
-	}
-	pol := policy.NewWithRanker(cfg.Policy, ranker)
-	if cfg.Pressure == PressureDomains {
-		pol = policy.NewDomainFirst(cfg.Policy)
-	}
 	s := &Simulator{
 		cfg:     cfg,
 		jobs:    jobs,
 		byID:    byID,
 		cl:      cluster.NewMixed(cfg.Cluster),
-		pol:     pol,
-		ranker:  ranker,
-		adj:     policy.NewAdjuster(ranker),
 		eng:     sim.New(),
 		tel:     cfg.Telemetry,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -181,28 +152,64 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 		banked:  make(map[int]float64),
 		prio:    make(map[int]int),
 	}
-	s.model = slowdown.NewModel(cfg.Cluster.Nodes, cfg.PerNodeRemoteBW)
-	s.adj.Tel = cfg.Telemetry
+	s.buildPlacers()
+	// Global pressure is one domain spanning the cluster; domains pressure
+	// has one per ledger shard (Normalize forced Cluster.Shards == Domains).
+	// A domain's bandwidth budget scales with the nodes it contains, the
+	// paper's per-node fabric provisioning.
+	s.nDom = 1
 	if cfg.Pressure == PressureDomains {
-		// One pressure domain per ledger shard (Normalize forced
-		// Cluster.Shards == Domains). A domain's bandwidth budget scales
-		// with the nodes it contains, mirroring the global model's
-		// per-node fabric provisioning.
 		s.nDom = s.cl.ShardCount()
-		s.domBW = make([]float64, s.nDom)
-		s.domTraffic = make([]float64, s.nDom)
-		s.domRho = make([]float64, s.nDom)
-		s.domValid = make([]bool, s.nDom)
-		s.domJobs = make([][]*runningJob, s.nDom)
-		s.domCapMB = make([]int64, s.nDom)
-		for i := 0; i < s.nDom; i++ {
-			s.domBW[i] = cfg.PerNodeRemoteBW * float64(s.cl.Shard(i).Nodes)
-		}
-		for _, n := range s.cl.Nodes() {
-			s.domCapMB[s.cl.ShardOf(n.ID)] += n.CapacityMB
-		}
+	}
+	s.domBW = make([]float64, s.nDom)
+	s.domRho = make([]float64, s.nDom)
+	s.domValid = make([]bool, s.nDom)
+	s.domJobs = make([][]*runningJob, s.nDom)
+	s.domCapMB = make([]int64, s.nDom)
+	domNodes := make([]int, s.nDom)
+	for _, n := range s.cl.Nodes() {
+		d := s.domOf(n.ID)
+		domNodes[d]++
+		s.domCapMB[d] += n.CapacityMB
+	}
+	for d, n := range domNodes {
+		s.domBW[d] = cfg.PerNodeRemoteBW * float64(n)
 	}
 	return s, nil
+}
+
+// buildPlacers builds the placement policy, lender ranker and adjuster for
+// the simulator's configuration. They hold only scratch buffers (no decision
+// state), so New and Fork both build fresh ones: instances behave
+// identically and must not be shared across concurrently running branches.
+// A nil ranker selects the most-free lender order served directly from the
+// cluster's free-memory index — no ranking is materialised.
+func (s *Simulator) buildPlacers() {
+	s.ranker = nil
+	if s.cfg.LenderPolicy == NearestFirst {
+		s.ranker = policy.NearestFirstRanker(*s.cfg.Topology)
+	}
+	s.pol = s.newPolicy()
+	s.adj = policy.NewAdjuster(s.ranker)
+	s.adj.Tel = s.tel
+}
+
+// newPolicy builds the placement policy for s.cfg.Policy: the domain-first
+// walk under pressure domains, the ranked global walk otherwise.
+func (s *Simulator) newPolicy() policy.Policy {
+	if s.cfg.Pressure == PressureDomains {
+		return policy.NewDomainFirst(s.cfg.Policy)
+	}
+	return policy.NewWithRanker(s.cfg.Policy, s.ranker)
+}
+
+// domOf returns a node's home pressure domain: 0 under global pressure, the
+// node's ledger shard under domains pressure.
+func (s *Simulator) domOf(node cluster.NodeID) int32 {
+	if s.cfg.Pressure != PressureDomains {
+		return 0
+	}
+	return int32(s.cl.ShardOf(node))
 }
 
 // Run executes the scenario and returns its Result. It must be called at
@@ -386,12 +393,12 @@ func (s *Simulator) sample() {
 }
 
 // poolCheck feeds the free-pool watermark detector after any change to the
-// memory ledger. In domains mode it additionally checks the touched job's
-// domain set against each domain's own capacity, so per-rack exhaustion is
-// visible even while the system-wide pool looks healthy; rj may be nil when
-// no single job scopes the change. With a single domain the per-domain check
-// would duplicate the system-wide one event for event, so it is skipped —
-// which keeps single-domain runs byte-identical to global mode.
+// memory ledger. Under several pressure domains it additionally checks the
+// touched job's domain set against each domain's own capacity, so per-rack
+// exhaustion is visible even while the system-wide pool looks healthy; rj
+// may be nil when no single job scopes the change. With a single domain —
+// global pressure included — the per-domain check would duplicate the
+// system-wide one event for event, so it is skipped.
 func (s *Simulator) poolCheck(rj *runningJob) {
 	if s.tel == nil {
 		return
@@ -591,71 +598,28 @@ func (s *Simulator) conservativePass() {
 // currentResources summarises present availability for the reservation
 // arithmetic. The node-class counts come straight from the cluster's idle
 // split (O(1)); the class threshold there is NormalMB, the same comparison
-// the retained rescan applies per node.
+// a per-node rescan applies (the differential tests keep one as an oracle).
 //
 //dmp:hotpath
 func (s *Simulator) currentResources() sched.Resources {
-	if s.refRescan {
-		return s.currentResourcesRescan()
-	}
 	var r sched.Resources
 	r.NormalNodes, r.LargeNodes = s.cl.IdleComputeSplit()
 	r.FreeMB = s.cl.TotalFreeMB()
 	return r
 }
 
-// currentResourcesRescan is the retained full-rescan reference for
-// currentResources.
-func (s *Simulator) currentResourcesRescan() sched.Resources {
-	normalMB := s.cfg.Cluster.NormalMB
-	var r sched.Resources
-	for _, n := range s.cl.Nodes() {
-		if n.IsComputeAvailable() {
-			if n.CapacityMB > normalMB {
-				r.LargeNodes++
-			} else {
-				r.NormalNodes++
-			}
-		}
-	}
-	r.FreeMB = s.cl.TotalFreeMB()
-	return r
-}
-
 // releases lists running jobs' conservative completions (start + limit) into
-// a scratch slice reused across scheduling passes. Jobs are visited in
-// ascending ID order; the consumers (Profile, ShadowTime) sort by release
-// time and combine resources with commutative integer arithmetic, so the
-// iteration order cannot affect results — the retained reference walks the
-// map instead and the differential tests confirm the equivalence.
+// a scratch slice reused across scheduling passes, visiting jobs in
+// ascending ID order so the list is reproducible (it feeds the backfill
+// planner, where order breaks ties).
 //
 //dmp:hotpath
 func (s *Simulator) releases() []sched.Release {
-	if s.refRescan {
-		return s.releasesRescan()
-	}
 	out := s.relBuf[:0]
 	for _, rj := range s.runList {
 		out = append(out, s.releaseOf(rj))
 	}
 	s.relBuf = out
-	return out
-}
-
-// releasesRescan is the retained reference implementation of releases: a
-// fresh allocation per call, visiting jobs in ascending ID order so the
-// reference path is as reproducible as the incremental one (the release
-// list feeds the backfill planner, where order breaks ties).
-func (s *Simulator) releasesRescan() []sched.Release {
-	ids := make([]int, 0, len(s.running))
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]sched.Release, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.releaseOf(s.running[id]))
-	}
 	return out
 }
 
@@ -727,13 +691,10 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 	s.runList = append(s.runList, nil)
 	copy(s.runList[i+1:], s.runList[i:])
 	s.runList[i] = rj
-	s.trafficValid = false // new member: the traffic sum changes
-	if s.nDom > 0 {
-		s.domainize(rj)
-		for _, d := range rj.homeDoms {
-			s.domJobs[d] = insertDomJob(s.domJobs[d], rj)
-			s.domValid[d] = false
-		}
+	s.domainize(rj)
+	for _, d := range rj.homeDoms { // new member: the traffic sums change
+		s.domJobs[d] = insertDomJob(s.domJobs[d], rj)
+		s.domValid[d] = false
 	}
 	s.curAllocMB += ja.TotalMB()
 	s.curBusyNodes += len(ja.PerNode)
@@ -759,7 +720,7 @@ func (s *Simulator) start(j *job.Job, ja *cluster.JobAllocation) {
 		}
 		s.poolCheck(rj)
 	}
-	s.refreshAfter(rj)
+	s.refreshDomains(rj)
 }
 
 func (s *Simulator) onFinish(id int) {
@@ -778,7 +739,7 @@ func (s *Simulator) onFinish(id int) {
 		s.cfg.Observer.JobFinished(s.eng.Now(), rj.j, Completed)
 	}
 	s.tel.JobEnd(id, Completed.String(), rj.rec.Restarts)
-	s.refreshAfter(rj)
+	s.refreshDomains(rj)
 	s.ensureTick(true)
 }
 
@@ -799,7 +760,7 @@ func (s *Simulator) onTimeLimit(id int) {
 	}
 	s.tel.JobEnd(id, TimedOut.String(), rj.rec.Restarts)
 	s.cancelDependents(rj.j.ID)
-	s.refreshAfter(rj)
+	s.refreshDomains(rj)
 	s.ensureTick(true)
 }
 
@@ -838,12 +799,9 @@ func (s *Simulator) teardown(rj *runningJob) {
 		s.runList[len(s.runList)-1] = nil
 		s.runList = s.runList[:len(s.runList)-1]
 	}
-	s.trafficValid = false // departed member: the traffic sum changes
-	if s.nDom > 0 {
-		for _, d := range rj.homeDoms {
-			s.domJobs[d] = removeDomJob(s.domJobs[d], rj)
-			s.domValid[d] = false
-		}
+	for _, d := range rj.homeDoms { // departed member: the traffic sums change
+		s.domJobs[d] = removeDomJob(s.domJobs[d], rj)
+		s.domValid[d] = false
 	}
 	s.poolCheck(rj) // rising free re-arms the watermark detector
 }
@@ -870,7 +828,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 		na := &rj.alloc.PerNode[i]
 		nodeBefore, remoteBefore := na.TotalMB(), na.RemoteMB()
 		var err error
-		if s.nDom > 0 {
+		if s.cfg.Pressure == PressureDomains {
 			err = s.adj.AdjustDomains(s.cl, rj.alloc, i, target, rj.domSet)
 		} else {
 			err = s.adj.Adjust(s.cl, rj.alloc, i, target)
@@ -910,7 +868,7 @@ func (s *Simulator) onMemoryUpdate(id int) {
 		s.cfg.Observer.AllocationChanged(s.eng.Now(), rj.j, before, after)
 	}
 	rj.updateEv = s.eng.AfterTag(rj.period, evTag(tagUpdate, id), func(*sim.Engine) { s.onMemoryUpdate(id) })
-	s.refreshAfter(rj)
+	s.refreshDomains(rj)
 }
 
 // oomKill applies the configured OOM handling: terminate the job, release
@@ -956,7 +914,7 @@ func (s *Simulator) oomKill(rj *runningJob) {
 		}
 		s.tel.JobSubmit(id, true)
 	}
-	s.refreshAfter(rj)
+	s.refreshDomains(rj)
 	s.ensureTick(true)
 }
 
@@ -1018,47 +976,26 @@ func (s *Simulator) remoteFraction(na *cluster.NodeAllocation) float64 {
 	return weighted / float64(total)
 }
 
-// recontend rebuilds rj's contention cache from its current allocation: the
-// per-node traffic contributions (in PerNode order, so the global flat sum
-// visits them exactly as the full rescan did) and the maximum
-// distance-weighted remote fraction its slowdown depends on. Each cached
-// value is a deterministic function of the allocation alone, so reusing it
-// across refreshes is bit-exact.
-//
-//dmp:hotpath
-func (s *Simulator) recontend(rj *runningJob) {
-	rj.nodeTraffic = rj.nodeTraffic[:0]
-	fracs := s.fracsBuf[:0]
-	for i := range rj.alloc.PerNode {
-		na := &rj.alloc.PerNode[i]
-		rj.nodeTraffic = append(rj.nodeTraffic, slowdown.NodeTraffic(rj.j.Profile, 1-na.LocalFraction()))
-		fracs = append(fracs, s.remoteFraction(na))
-	}
-	s.fracsBuf = fracs
-	rj.maxFrac = slowdown.MaxWeightedFrac(fracs)
-	rj.dirty = false
-}
-
 // ---------------------------------------------------- pressure domains
 
 // domainize freezes rj's pressure-domain footprint at dispatch: each compute
-// node's home domain (its ledger shard), the sorted unique home-domain list,
-// and the domain set — home domains plus every placement lease's lender
-// shard. All later growth is confined to the domain set (AdjustDomains), so
-// the footprint never widens mid-attempt; an OOM restart re-places the job
-// and freezes a fresh one.
+// node's home domain, the sorted unique home-domain list, and the domain
+// set — home domains plus every placement lease's lender domain. Under
+// domains pressure all later growth is confined to the domain set
+// (AdjustDomains), so the footprint never widens mid-attempt; an OOM restart
+// re-places the job and freezes a fresh one.
 func (s *Simulator) domainize(rj *runningJob) {
 	rj.nodeDom = rj.nodeDom[:0]
 	rj.homeDoms = rj.homeDoms[:0]
 	for i := range rj.alloc.PerNode {
-		d := int32(s.cl.ShardOf(rj.alloc.PerNode[i].Node))
+		d := s.domOf(rj.alloc.PerNode[i].Node)
 		rj.nodeDom = append(rj.nodeDom, d)
 		rj.homeDoms = addDom(rj.homeDoms, d)
 	}
 	rj.domSet = append(rj.domSet[:0], rj.homeDoms...)
 	for i := range rj.alloc.PerNode {
 		for _, l := range rj.alloc.PerNode[i].Leases {
-			rj.domSet = addDom(rj.domSet, int32(s.cl.ShardOf(l.Lender)))
+			rj.domSet = addDom(rj.domSet, s.domOf(l.Lender))
 		}
 	}
 	if cap(rj.domFrac) < len(rj.homeDoms) {
@@ -1108,117 +1045,133 @@ func removeDomJob(list []*runningJob, rj *runningJob) []*runningJob {
 	return list
 }
 
-// invalidate marks the contention caches stale after rj's allocation
-// changed: rj's home domains in domains mode, the flat global sum otherwise.
+// invalidate marks rj's home domains' contention caches stale after rj's
+// allocation changed.
 //
 //dmp:hotpath
 func (s *Simulator) invalidate(rj *runningJob) {
-	if s.nDom > 0 {
-		for _, d := range rj.homeDoms {
-			s.domValid[d] = false
-		}
-		return
+	for _, d := range rj.homeDoms {
+		s.domValid[d] = false
 	}
-	s.trafficValid = false
 }
 
-// refreshAfter refreshes the contention model after an event touching rj:
-// the O(Δ) per-domain path in domains mode, the global refresh otherwise.
+// refreshDomains is the contention refresh after an event touching rj; it
+// must run after any change to memory placements. It is scoped to rj's home
+// domains: jobs elsewhere keep exact slowdowns, deferred banking and finish
+// events, because their domains' rho did not move, so an event costs
+// O(touched domains' residents). Under global pressure the one domain holds
+// the whole running set.
 //
-//dmp:hotpath
-func (s *Simulator) refreshAfter(rj *runningJob) {
-	if s.nDom > 0 {
-		s.refreshDomains(rj)
-		return
-	}
-	s.refreshAll()
-}
-
-// refreshDomains is the contention refresh scoped to the domains rj calls
-// home. Jobs outside the touched domains are untouched by construction:
-// their domains' rho values did not move, so their slowdowns — and with them
-// their deferred progress banking and pending finish events — stay exact.
-// That is what makes an event's refresh cost O(touched domains' residents)
-// instead of O(running set).
+// Only jobs whose allocation changed are re-derived per node: at any
+// refreshDomains(rj) the only possibly-dirty job is rj, and every site that
+// marks rj dirty also invalidates rj's home domains. A still-valid domain —
+// nothing started, finished or resized there — keeps its rho and its
+// residents' slowdowns, which are pure functions of unchanged state. Banking
+// stays eager: collapsing accrual steps would change the float rounding.
 //
-// The dirty-job invariant mirrors the global incremental path: at any
-// refreshAfter(rj) the only possibly-dirty job is rj itself, and every site
-// that marks rj dirty also invalidates all of rj's home domains, so the
-// phase-2 rebuild of invalid touched domains re-derives every stale cache.
+// Phases, over the touched residents:
 //
-// Phases (each deduplicating jobs resident in several touched domains with
-// an epoch stamp, visiting domains ascending and jobs in ID order):
-//
-//	1 bank touched residents' progress at their prevailing slowdown;
-//	2 rebuild each invalid touched domain's traffic sum and rho, merging
-//	  per-node traffic by the node's home domain;
-//	3 re-derive touched residents' slowdowns from the per-domain rho;
-//	4 refinish touched residents.
+//	1 bank their progress at the prevailing slowdown (refreshList order);
+//	2 rebuild each invalid touched domain's rho;
+//	3 re-derive their slowdowns from the per-domain rho;
+//	4 refinish them (refreshList order).
 //
 //dmp:hotpath
 //dmp:domainmerge
 func (s *Simulator) refreshDomains(rj *runningJob) {
 	now := s.eng.Now()
-	touched := rj.homeDoms
-	s.refreshEpoch++
-	for _, d := range touched {
-		for _, oj := range s.domJobs[d] {
-			if oj.epoch == s.refreshEpoch {
-				continue
-			}
-			oj.epoch = s.refreshEpoch
-			s.bank(oj)
-		}
+	list := s.refreshList(rj.homeDoms)
+	for _, oj := range list {
+		s.bank(oj)
 	}
 	dirtyRho := false
-	for _, d := range touched {
-		if s.domValid[d] {
-			continue
+	for _, d := range rj.homeDoms {
+		if !s.domValid[d] {
+			s.refreshRho(d)
+			dirtyRho = true
 		}
-		var traffic float64
-		for _, oj := range s.domJobs[d] {
-			if oj.dirty {
-				s.recontendDomains(oj)
-			}
-			for i, t := range oj.nodeTraffic {
-				if oj.nodeDom[i] == d {
-					traffic += t
-				}
-			}
-		}
-		s.domTraffic[d] = traffic
-		s.domRho[d] = slowdown.PressureBW(traffic, s.domBW[d])
-		s.domValid[d] = true
-		dirtyRho = true
 	}
 	if dirtyRho {
-		s.refreshEpoch++
-		for _, d := range touched {
+		// Slowdowns are pure functions of a job's caches and rho, so a job
+		// in two touched domains may be re-derived twice. For a job homed
+		// only in d, domainSlowdown's fold is this one bit-identical call.
+		for _, d := range rj.homeDoms {
+			rho := s.domRho[d]
 			for _, oj := range s.domJobs[d] {
-				if oj.epoch == s.refreshEpoch {
-					continue
+				if len(oj.homeDoms) == 1 {
+					oj.slow = slowdown.JobSlowdownFromMax(oj.j.Profile, oj.maxFrac, rho)
+				} else {
+					oj.slow = s.domainSlowdown(oj)
 				}
-				oj.epoch = s.refreshEpoch
-				oj.slow = s.domainSlowdown(oj)
 			}
 		}
 	}
-	s.refreshEpoch++
-	for _, d := range touched {
-		for _, oj := range s.domJobs[d] {
-			if oj.epoch == s.refreshEpoch {
-				continue
-			}
-			oj.epoch = s.refreshEpoch
-			s.refinish(oj, now)
-		}
+	for _, oj := range list {
+		s.refinish(oj, now)
 	}
 }
 
-// recontendDomains rebuilds rj's contention caches in domains mode: the
-// per-node traffic contributions (as recontend does) plus, per home domain,
-// the maximum distance-weighted remote fraction of rj's nodes resident
-// there. It writes rj's fields only.
+// refreshList lists the jobs resident in the touched domains once each,
+// domains ascending and jobs in ID order, deduplicating jobs resident in
+// several of them with an epoch stamp into a reused scratch slice. One
+// touched domain — always, under global pressure — lists each resident once
+// already, so its list is returned as is.
+//
+//dmp:hotpath
+func (s *Simulator) refreshList(touched []int32) []*runningJob {
+	if len(touched) == 1 {
+		return s.domJobs[touched[0]]
+	}
+	s.refreshEpoch++
+	out := s.resBuf[:0]
+	for _, d := range touched {
+		for _, oj := range s.domJobs[d] {
+			if oj.epoch != s.refreshEpoch {
+				oj.epoch = s.refreshEpoch
+				out = append(out, oj)
+			}
+		}
+	}
+	s.resBuf = out
+	return out
+}
+
+// refreshRho re-derives domain d's rho from its residents' per-node
+// traffic, merging each node's contribution into its home domain's sum and
+// rebuilding dirty residents' caches first. The sum is flat over
+// (ascending job ID, PerNode order), so it associates identically however
+// often it is rebuilt. A job with a single home domain has every node in d
+// and skips the per-node domain filter.
+//
+//dmp:hotpath
+func (s *Simulator) refreshRho(d int32) {
+	var traffic float64
+	for _, oj := range s.domJobs[d] {
+		if oj.dirty {
+			s.recontendDomains(oj)
+		}
+		if len(oj.homeDoms) == 1 {
+			for _, t := range oj.nodeTraffic {
+				traffic += t
+			}
+			continue
+		}
+		for i, t := range oj.nodeTraffic {
+			if oj.nodeDom[i] == d {
+				traffic += t
+			}
+		}
+	}
+	s.domRho[d] = slowdown.PressureBW(traffic, s.domBW[d])
+	s.domValid[d] = true
+}
+
+// recontendDomains rebuilds rj's contention caches from its current
+// allocation: the per-node traffic contributions (in PerNode order) and,
+// per home domain, the maximum distance-weighted remote fraction of rj's
+// nodes resident there, plus their maximum. Each cached value is a
+// deterministic function of the allocation alone, so reusing it across
+// refreshes is bit-exact. It writes rj's fields only.
 //
 //dmp:hotpath
 func (s *Simulator) recontendDomains(rj *runningJob) {
@@ -1240,8 +1193,7 @@ func (s *Simulator) recontendDomains(rj *runningJob) {
 
 // domainSlowdown derives rj's slowdown as the worst over its home domains:
 // each domain contributes the single-rho slowdown of rj's nodes resident
-// there at that domain's pressure. With one domain this degenerates to the
-// global formula bit-for-bit.
+// there at that domain's pressure.
 //
 //dmp:hotpath
 //dmp:domainmerge
@@ -1253,62 +1205,6 @@ func (s *Simulator) domainSlowdown(rj *runningJob) float64 {
 		}
 	}
 	return slow
-}
-
-// refreshAll recomputes the global contention pressure and every running
-// job's slowdown, rescheduling completion events accordingly. It must be
-// called after any change to memory placements.
-//
-// The incremental path does per-node work only for jobs whose allocation
-// changed since the last refresh (flagged dirty at dispatch and in their own
-// memory-update handler): untouched jobs contribute their cached traffic
-// values and cached max fraction. Bit-identity with the full rescan —
-// asserted by golden digests and the differential tests — follows from three
-// facts: the traffic sum is flat over the same (job asc-ID, node) order, so
-// the float additions associate identically; the cached inputs are exact
-// (see recontend); and JobSlowdownFromMax over the cached max equals
-// JobSlowdownWeighted over the full fraction vector bit-for-bit.
-//
-// Banking stays eager for every job each refresh: progress accrual divides
-// by the prevailing slowdown step by step, and collapsing steps would change
-// the float rounding and with it the golden digests.
-//
-// A refresh with trafficValid still set — nothing started, finished, or
-// resized since the last one — skips the contention recomputation entirely:
-// the flat traffic sum, rho, and every job's slowdown are pure functions of
-// state that has not changed, so reusing them is bit-exact. Only banking
-// (time advanced) and refinishing (finish times shift with the clock) run.
-//
-//dmp:hotpath
-func (s *Simulator) refreshAll() {
-	if s.refRescan {
-		s.refreshAllRescan()
-		return
-	}
-	now := s.eng.Now()
-	for _, rj := range s.runList {
-		s.bank(rj)
-	}
-	if !s.trafficValid {
-		var traffic float64
-		for _, rj := range s.runList {
-			if rj.dirty {
-				s.recontend(rj)
-			}
-			for _, t := range rj.nodeTraffic {
-				traffic += t
-			}
-		}
-		s.cachedTraffic = traffic
-		s.trafficValid = true
-		rho := s.model.Pressure(traffic)
-		for _, rj := range s.runList {
-			rj.slow = slowdown.JobSlowdownFromMax(rj.j.Profile, rj.maxFrac, rho)
-		}
-	}
-	for _, rj := range s.runList {
-		s.refinish(rj, now)
-	}
 }
 
 // refinish recomputes rj's completion time at the current slowdown and
@@ -1329,46 +1225,5 @@ func (s *Simulator) refinish(rj *runningJob, now float64) {
 		rj.finishEv = s.eng.ScheduleTag(at, evTag(tagFinish, id), func(*sim.Engine) { s.onFinish(id) }) //dmplint:ignore hotpath-alloc scheduled once per finish-time move, not per refresh step; Reschedule reuses the handle below
 	} else if rj.finishEv.At() != at {
 		rj.finishEv = s.eng.Reschedule(rj.finishEv, at)
-	}
-}
-
-// refreshAllRescan is the retained full-rescan reference implementation of
-// refreshAll: collect and sort the running set, then re-derive every job's
-// per-node fractions, traffic and slowdown from the ledger with no caching.
-// The differential tests run whole scenarios through it and assert Results
-// and telemetry stay byte-identical to the incremental path.
-//
-// Jobs are visited in ascending ID order: map iteration order varies
-// between runs, and floating-point summation of the traffic is not
-// associative, so unordered iteration would make results irreproducible.
-func (s *Simulator) refreshAllRescan() {
-	now := s.eng.Now()
-	ids := s.idsBuf[:0]
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	s.idsBuf = ids
-	for _, id := range ids {
-		s.bank(s.running[id])
-	}
-	var traffic float64
-	for _, id := range ids {
-		rj := s.running[id]
-		for i := range rj.alloc.PerNode {
-			remoteFrac := 1 - rj.alloc.PerNode[i].LocalFraction()
-			traffic += slowdown.NodeTraffic(rj.j.Profile, remoteFrac)
-		}
-	}
-	rho := s.model.Pressure(traffic)
-	for _, id := range ids {
-		rj := s.running[id]
-		fracs := s.fracsBuf[:0]
-		for i := range rj.alloc.PerNode {
-			fracs = append(fracs, s.remoteFraction(&rj.alloc.PerNode[i]))
-		}
-		s.fracsBuf = fracs
-		rj.slow = slowdown.JobSlowdownWeighted(rj.j.Profile, fracs, rho)
-		s.refinish(rj, now)
 	}
 }

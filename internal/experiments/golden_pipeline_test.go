@@ -213,7 +213,7 @@ func TestFig5PipelineMatchesSerial(t *testing.T) {
 		t.Skip("two full Fig. 5 runs are expensive; skipped with -short")
 	}
 	p := Quick()
-	serial, err := RunFig5Serial(p, false)
+	serial, err := runFig5Serial(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +224,65 @@ func TestFig5PipelineMatchesSerial(t *testing.T) {
 	ds, dp := digestFig5(serial), digestFig5(pooled)
 	if ds != dp {
 		t.Fatalf("pooled+cached pipeline diverged from the serial reference:\n  serial %s\n  pooled %s", ds, dp)
+	}
+}
+
+// runFig5Serial is the pre-pipeline Fig. 5 driver: every stage in
+// sequence, every trace generated from scratch, barriers between stages.
+// TestFig5PipelineMatchesSerial and BenchmarkFig5Serial use it as the
+// reference the barrier-free pipeline must match bit-for-bit (and beat on
+// wall-clock).
+func runFig5Serial(p Preset, includeGrizzly bool) (*Fig5, error) {
+	out := &Fig5{}
+	for _, lf := range Fig5LargeFracs {
+		label := fmt.Sprintf("large %.0f%%", lf*100)
+		// Normalisation uses the +0 % trace, shared by the column; every
+		// generation bypasses the cache, as the pre-pipeline code did.
+		trace0, err := p.SyntheticTraceUncached(lf, 0)
+		if err != nil {
+			return nil, err
+		}
+		norm, err := p.BaselineNorm(trace0.Jobs, p.SystemNodes)
+		if err != nil {
+			return nil, err
+		}
+		for _, ov := range Fig5Overests {
+			jobs := trace0.Jobs
+			if ov != 0 {
+				tr, err := p.SyntheticTraceUncached(lf, ov)
+				if err != nil {
+					return nil, err
+				}
+				jobs = tr.Jobs
+			}
+			g, err := p.ThroughputSweep(jobs, p.SystemNodes, norm, label, ov)
+			if err != nil {
+				return nil, err
+			}
+			out.Panels = append(out.Panels, g)
+		}
+	}
+	if includeGrizzly {
+		for _, ov := range Fig5Overests {
+			g, err := p.GrizzlyGrid(ov)
+			if err != nil {
+				return nil, err
+			}
+			out.Panels = append(out.Panels, g)
+		}
+	}
+	return out, nil
+}
+
+// BenchmarkFig5Serial is the reference point for the root package's
+// BenchmarkFig5 at the same Bench preset: the serial driver that generates
+// every trace from scratch. The BenchmarkFig5/BenchmarkFig5Serial ratio is
+// the pipeline's speedup.
+func BenchmarkFig5Serial(b *testing.B) {
+	p := Bench()
+	for i := 0; i < b.N; i++ {
+		if _, err := runFig5Serial(p, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -88,36 +88,12 @@ type Profile struct {
 	Sens         Curve   // sensitivity to fabric contention
 }
 
-// Model holds the fabric parameters. The interconnect is a torus sized per
-// node, so aggregate remote bandwidth scales linearly with node count.
-type Model struct {
-	PerNodeBWGBs float64 // remote-memory bandwidth provisioned per node
-	Nodes        int
-}
-
-// NewModel returns a contention model for a fabric of n nodes with the given
-// per-node remote bandwidth (GB/s).
-func NewModel(n int, perNodeBW float64) *Model {
-	return &Model{PerNodeBWGBs: perNodeBW, Nodes: n}
-}
-
-// FabricBW returns the aggregate remote-memory bandwidth of the system.
-func (m *Model) FabricBW() float64 { return m.PerNodeBWGBs * float64(m.Nodes) }
-
-// Pressure converts aggregate remote traffic (GB/s) into fabric utilisation.
-func (m *Model) Pressure(totalRemoteTraffic float64) float64 {
-	bw := m.FabricBW()
-	if bw <= 0 {
-		return 0
-	}
-	return totalRemoteTraffic / bw
-}
-
-// PressureBW converts remote traffic (GB/s) into utilisation of an explicit
-// bandwidth budget. It is Model.Pressure generalised to a caller-chosen
-// scope: the partitioned contention model evaluates it once per pressure
-// domain, with the domain's aggregate bandwidth as the budget. With the
-// whole fabric's bandwidth it is bit-identical to Model.Pressure.
+// PressureBW converts remote traffic (GB/s) into utilisation of a bandwidth
+// budget. The simulator evaluates it once per pressure domain, with the
+// domain's aggregate bandwidth as the budget: per-node bandwidth times the
+// domain's node count, the whole fabric's under global pressure. The
+// interconnect is a torus sized per node, so aggregate remote bandwidth
+// scales linearly with node count.
 func PressureBW(traffic, bw float64) float64 {
 	if bw <= 0 {
 		return 0

@@ -66,15 +66,14 @@ func TestJobSlowdownIsMaxOverNodes(t *testing.T) {
 }
 
 func TestModelPressure(t *testing.T) {
-	m := NewModel(100, 10) // 1000 GB/s fabric
-	if got := m.Pressure(500); got != 0.5 {
+	bw := 10 * float64(100) // 100 nodes at 10 GB/s: a 1000 GB/s fabric
+	if got := PressureBW(500, bw); got != 0.5 {
 		t.Fatalf("pressure = %g, want 0.5", got)
 	}
-	if got := m.Pressure(2000); got != 2.0 {
+	if got := PressureBW(2000, bw); got != 2.0 {
 		t.Fatalf("oversubscribed pressure = %g, want 2.0", got)
 	}
-	z := NewModel(0, 10)
-	if got := z.Pressure(100); got != 0 {
+	if got := PressureBW(100, 10*float64(0)); got != 0 {
 		t.Fatalf("zero-fabric pressure = %g, want 0", got)
 	}
 }

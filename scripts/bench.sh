@@ -8,13 +8,15 @@
 # taken from the BENCH_SEQ environment variable (default 6, the PR that made
 # the live simulation state forkable copy-on-write and added concurrent
 # what-if branching off one frozen base).
-# Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled
-# and serial, the replicated headlines, trace generation vs cache hit), the
-# end-to-end BenchmarkScenario suite (the preset-scale policies at 100x;
-# grizzly-scale, its domains twin, and the 100k-node scenarios separately at
-# 1x — one iteration is a full cluster-scale run), the refresh
-# micro-benchmark (incremental, rescan, and elided modes), the per-domain
-# refresh benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
+# Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled,
+# Fig. 5 serial from internal/experiments where the serial driver lives, the
+# replicated headlines, trace generation vs cache hit), the end-to-end
+# BenchmarkScenario suite (the preset-scale policies at 100x; grizzly-scale,
+# its domains twin, and the 100k-node scenarios separately at 1x — one
+# iteration is a full cluster-scale run), the refresh micro-benchmark under
+# global pressure (incremental: the one-domain refreshDomains; rescan: the
+# test-side oracle; elided: a still-valid domain), the per-domain refresh
+# benchmark, the copy-on-write fork suite (snapshot cost, zero-alloc
 # read path, first-write materialisation) and the what-if branching headline
 # (branched vs nine full runs), and the micro-benchmarks for each indexed
 # structure (lender ranking, sharded ascend, dynamic placement, engine
@@ -38,7 +40,7 @@ run() {
 }
 
 run .                    'BenchmarkFig5$'               5x
-run .                    'BenchmarkFig5Serial$'         5x
+run ./internal/experiments 'BenchmarkFig5Serial$'       5x
 run .                    'BenchmarkHeadlines$'          3x
 run .                    'BenchmarkTraceGeneration$'    1s 3
 run .                    'BenchmarkTraceCacheHit$'      1s 3
