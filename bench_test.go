@@ -444,6 +444,20 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkGrizzlyTrace is the Grizzly workload's set-up: scan the
+// synthetic LDMS dataset at the paper's 1490 nodes (Bench preset, three
+// weeks), sample one week and build its usage series and jobs at +50 %
+// overestimation.
+func BenchmarkGrizzlyTrace(b *testing.B) {
+	p := benchPreset()
+	p.GrizzlyNodes = 1490
+	for i := 0; i < b.N; i++ {
+		if _, err := p.GrizzlyTrace(0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceCacheHit is the other side: the cost of re-requesting an
 // already-generated trace, which is what every figure after the first pays.
 func BenchmarkTraceCacheHit(b *testing.B) {

@@ -60,6 +60,10 @@ func (v *BranchVariant) Validate() error {
 	if v.UpdateInterval < 0 {
 		return fmt.Errorf("branch: variant %q: negative update_interval_s", v.Name)
 	}
+	if v.UpdateInterval > 0 && v.UpdateInterval < 1 {
+		return fmt.Errorf("branch: variant %q: update_interval_s %g s is below the 1 s minimum (0 keeps the base's period)",
+			v.Name, v.UpdateInterval)
+	}
 	return nil
 }
 
@@ -353,7 +357,7 @@ func (p Preset) RunBranchSpec(ctx context.Context, s *ScenarioSpec, br *BranchSp
 	if err != nil {
 		return nil, err
 	}
-	pm, err := s.pressure()
+	pm, err := p.scenarioPressure(s)
 	if err != nil {
 		return nil, err
 	}

@@ -180,15 +180,16 @@ func TestBranchSpecValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mut := range map[string]func(*BranchSpec){
-		"bad-mem":      func(b *BranchSpec) { b.MemPct = 33 },
-		"bad-policy":   func(b *BranchSpec) { b.Policy = "bogus" },
-		"neg-time":     func(b *BranchSpec) { b.AtTime = -1 },
-		"no-variants":  func(b *BranchSpec) { b.Variants = nil },
-		"dup-variant":  func(b *BranchSpec) { b.Variants = append(b.Variants, BranchVariant{Name: "a"}) },
-		"unnamed":      func(b *BranchSpec) { b.Variants[0].Name = "" },
-		"bad-backfill": func(b *BranchSpec) { b.Variants[0].Backfill = "bogus" },
-		"bad-vpolicy":  func(b *BranchSpec) { b.Variants[0].Policy = "bogus" },
-		"neg-update":   func(b *BranchSpec) { b.Variants[0].UpdateInterval = -5 },
+		"bad-mem":       func(b *BranchSpec) { b.MemPct = 33 },
+		"bad-policy":    func(b *BranchSpec) { b.Policy = "bogus" },
+		"neg-time":      func(b *BranchSpec) { b.AtTime = -1 },
+		"no-variants":   func(b *BranchSpec) { b.Variants = nil },
+		"dup-variant":   func(b *BranchSpec) { b.Variants = append(b.Variants, BranchVariant{Name: "a"}) },
+		"unnamed":       func(b *BranchSpec) { b.Variants[0].Name = "" },
+		"bad-backfill":  func(b *BranchSpec) { b.Variants[0].Backfill = "bogus" },
+		"bad-vpolicy":   func(b *BranchSpec) { b.Variants[0].Policy = "bogus" },
+		"neg-update":    func(b *BranchSpec) { b.Variants[0].UpdateInterval = -5 },
+		"subsec-update": func(b *BranchSpec) { b.Variants[0].UpdateInterval = 1e-9 },
 	} {
 		b := ok()
 		mut(b)

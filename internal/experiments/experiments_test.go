@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dismem/internal/job"
 	"dismem/internal/policy"
+	"dismem/internal/traces/grizzly"
 )
 
 // tiny returns a preset even smaller than Quick for unit tests.
@@ -387,6 +390,55 @@ func TestGrizzlyTracesAlignedAcrossOverestimation(t *testing.T) {
 			}
 			if b[w][i].RequestMB < a[w][i].RequestMB {
 				t.Fatalf("week %d job %d: +60%% request below +0%%", w, i)
+			}
+		}
+	}
+}
+
+// TestGrizzlyTracesMatchEagerPath pins GrizzlyTraces and GrizzlyTrace,
+// which build usage series only for the weeks they return, to the path
+// that builds the whole dataset first and samples from it.
+func TestGrizzlyTracesMatchEagerPath(t *testing.T) {
+	if testing.Short() {
+		// Single-goroutine generation: the race detector's -short run
+		// would spend minutes here and find nothing.
+		t.Skip("builds whole Grizzly datasets")
+	}
+	paper := Bench()
+	paper.GrizzlyNodes = grizzly.SystemNodes
+	multi := Quick()
+	multi.GrizzlySample = 3
+	for _, p := range []Preset{Quick(), Bench(), paper, multi} {
+		d := p.GrizzlyDataset()
+		weeks, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, max(p.GrizzlySample, 1))
+		if err != nil {
+			weeks = []*grizzly.Week{d.BusiestWeek()}
+		}
+		for _, ov := range []float64{0, 0.5} {
+			var want [][]*job.Job
+			for _, w := range weeks {
+				jobs, err := w.BuildJobs(grizzly.BuildParams{Overestimation: ov, Seed: p.Seed + 3000 + int64(w.Index)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, jobs)
+			}
+			got, err := p.GrizzlyTraces(ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s at %d nodes, +%g: GrizzlyTraces differs from the whole-dataset path", p.Name, p.GrizzlyNodes, ov)
+			}
+			if len(want) == 1 {
+				continue // GrizzlyTrace builds the same one week
+			}
+			first, err := p.GrizzlyTrace(ov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, want[0]) {
+				t.Fatalf("%s at %d nodes, +%g: GrizzlyTrace differs from the first sampled week", p.Name, p.GrizzlyNodes, ov)
 			}
 		}
 	}

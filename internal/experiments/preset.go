@@ -185,13 +185,14 @@ func (p Preset) syntheticParams(largeFrac, overest float64) tracegen.Params {
 	}
 }
 
-// GrizzlyDataset synthesises the LDMS dataset at the preset's scale.
+// GrizzlyDataset synthesises the LDMS dataset at the preset's scale, with
+// every week's usage series built.
 func (p Preset) GrizzlyDataset() *grizzly.Dataset {
-	rng := newRand(p.Seed + 1000)
-	return grizzly.Generate(grizzly.Params{
-		Nodes:     p.GrizzlyNodes,
-		WeekCount: p.GrizzlyWeeks,
-	}, rng)
+	return grizzly.Generate(p.grizzlyParams(), p.Seed+1000)
+}
+
+func (p Preset) grizzlyParams() grizzly.Params {
+	return grizzly.Params{Nodes: p.GrizzlyNodes, WeekCount: p.GrizzlyWeeks}
 }
 
 // GrizzlyTraces samples the preset's number of representative
@@ -199,22 +200,30 @@ func (p Preset) GrizzlyDataset() *grizzly.Dataset {
 // overestimation (paper §3.2.1: seven sampled weeks, simulated
 // independently).
 func (p Preset) GrizzlyTraces(overest float64) ([][]*job.Job, error) {
-	d := p.GrizzlyDataset()
+	return p.grizzlyJobs(p.grizzlyWeeks(math.MaxInt), overest)
+}
+
+// grizzlyWeeks samples the preset's high-utilisation weeks and returns
+// the first keep of them (in week order), with only those weeks' usage
+// series built.
+func (p Preset) grizzlyWeeks(keep int) []*grizzly.Week {
 	n := p.GrizzlySample
 	if n <= 0 {
 		n = 1
 	}
-	weeks, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, n)
-	if err != nil {
-		// Fall back to the single highest-utilisation week.
-		best := &d.Weeks[0]
-		for i := range d.Weeks {
-			if d.Weeks[i].Utilization > best.Utilization {
-				best = &d.Weeks[i]
-			}
+	return grizzly.SampledWeeks(p.grizzlyParams(), p.Seed+1000, func(d *grizzly.Dataset) []*grizzly.Week {
+		weeks, err := d.SampleWeeks(newRand(p.Seed+2000), 0.7, n)
+		if err != nil {
+			weeks = []*grizzly.Week{d.BusiestWeek()}
 		}
-		weeks = []*grizzly.Week{best}
-	}
+		return weeks[:min(keep, len(weeks))]
+	})
+}
+
+// grizzlyJobs builds each week's simulator jobs at the given
+// overestimation. It only reads the weeks, so one set of weeks serves any
+// number of overestimations.
+func (p Preset) grizzlyJobs(weeks []*grizzly.Week, overest float64) ([][]*job.Job, error) {
 	out := make([][]*job.Job, 0, len(weeks))
 	for _, w := range weeks {
 		jobs, err := w.BuildJobs(grizzly.BuildParams{
@@ -230,9 +239,9 @@ func (p Preset) GrizzlyTraces(overest float64) ([][]*job.Job, error) {
 }
 
 // GrizzlyTrace returns the first sampled week's trace (the single-week
-// convenience used by dmpsim).
+// convenience used by dmpsim). Only that week's usage series are built.
 func (p Preset) GrizzlyTrace(overest float64) ([]*job.Job, error) {
-	traces, err := p.GrizzlyTraces(overest)
+	traces, err := p.grizzlyJobs(p.grizzlyWeeks(1), overest)
 	if err != nil {
 		return nil, err
 	}

@@ -129,6 +129,10 @@ func (s *ScenarioSpec) Validate() error {
 	if s.UpdateInterval < 0 {
 		return fmt.Errorf("scenario: field %q: %g is negative", "update_interval_s", s.UpdateInterval)
 	}
+	if s.UpdateInterval > 0 && s.UpdateInterval < 1 {
+		return fmt.Errorf("scenario: field %q: %g s is below the 1 s minimum (0 means the preset's period)",
+			"update_interval_s", s.UpdateInterval)
+	}
 	return nil
 }
 
@@ -193,6 +197,21 @@ func (s *ScenarioSpec) pressure() (core.PressureMode, error) {
 	}
 	return 0, fmt.Errorf("scenario: field %q: unknown mode %q (want global or domains)",
 		"pressure", s.Pressure)
+}
+
+// scenarioPressure is s.pressure plus the one range check that needs the
+// preset: no more pressure domains than the run's resolved node count.
+// ScenarioKey, which dmpd calls before admission, and RunScenarioSpecCtx
+// share it, so a spec the daemon admits is a spec that runs as written.
+func (p Preset) scenarioPressure(s *ScenarioSpec) (core.PressureMode, error) {
+	pm, err := s.pressure()
+	if err != nil {
+		return 0, err
+	}
+	if nodes := p.scenarioTraceParams(s).SystemNodes; s.Domains > nodes {
+		return 0, fmt.Errorf("scenario: field %q: %d domains exceed the %d-node system", "domains", s.Domains, nodes)
+	}
+	return pm, nil
 }
 
 // ScenarioResult is the sweep outcome: one row per (memory, policy).
@@ -279,7 +298,7 @@ func (p Preset) ScenarioKey(s *ScenarioSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pm, err := s.pressure()
+	pm, err := p.scenarioPressure(s)
 	if err != nil {
 		return "", err
 	}
@@ -335,7 +354,7 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 	if err != nil {
 		return nil, err
 	}
-	pm, err := s.pressure()
+	pm, err := p.scenarioPressure(s)
 	if err != nil {
 		return nil, err
 	}

@@ -35,29 +35,44 @@ func TestLoadScenarioRejections(t *testing.T) {
 	// what's structurally wrong) — daemon clients see these verbatim.
 	cases := []struct {
 		name, in, wantErr string
+		// needsPreset marks the range checks that need the resolved
+		// node count: LoadScenario accepts the spec, and the
+		// preset-aware ScenarioKey (which dmpd calls before admission)
+		// must reject it.
+		needsPreset bool
 	}{
-		{"bad policy", `{"policies": ["magic"]}`, `policies[0]`},
-		{"bad backfill", `{"backfill": "optimistic"}`, `"backfill"`},
-		{"bad oom", `{"oom": "panic"}`, `"oom"`},
-		{"bad mem pct", `{"mem_pcts": [99]}`, `"mem_pcts"`},
-		{"large_frac range", `{"trace": {"large_frac": 2}}`, `"trace.large_frac"`},
-		{"chain_frac range", `{"trace": {"chain_frac": -0.5}}`, `"trace.chain_frac"`},
-		{"negative overestimation", `{"trace": {"overestimation": -1}}`, `"trace.overestimation"`},
-		{"negative load", `{"trace": {"load": -1}}`, `"trace.load"`},
-		{"negative days", `{"trace": {"days": -1}}`, `"trace.days"`},
-		{"negative system nodes", `{"trace": {"system_nodes": -5}}`, `"trace.system_nodes"`},
-		{"negative update interval", `{"update_interval_s": -3}`, `"update_interval_s"`},
-		{"bad pressure", `{"pressure": "vibes"}`, `"pressure"`},
-		{"domains without pressure", `{"domains": 4}`, `"domains"`},
-		{"negative domains", `{"pressure": "domains", "domains": -1}`, `"domains"`},
-		{"unknown field", `{"unknown_field": 1}`, `unknown_field`},
-		{"not json", `not json`, `scenario:`},
-		{"empty input", ``, `empty spec`},
-		{"whitespace only", "  \n\t", `empty spec`},
+		{"bad policy", `{"policies": ["magic"]}`, `policies[0]`, false},
+		{"bad backfill", `{"backfill": "optimistic"}`, `"backfill"`, false},
+		{"bad oom", `{"oom": "panic"}`, `"oom"`, false},
+		{"bad mem pct", `{"mem_pcts": [99]}`, `"mem_pcts"`, false},
+		{"large_frac range", `{"trace": {"large_frac": 2}}`, `"trace.large_frac"`, false},
+		{"chain_frac range", `{"trace": {"chain_frac": -0.5}}`, `"trace.chain_frac"`, false},
+		{"negative overestimation", `{"trace": {"overestimation": -1}}`, `"trace.overestimation"`, false},
+		{"negative load", `{"trace": {"load": -1}}`, `"trace.load"`, false},
+		{"negative days", `{"trace": {"days": -1}}`, `"trace.days"`, false},
+		{"negative system nodes", `{"trace": {"system_nodes": -5}}`, `"trace.system_nodes"`, false},
+		{"negative update interval", `{"update_interval_s": -3}`, `"update_interval_s"`, false},
+		{"sub-second update interval", `{"update_interval_s": 1e-9}`, `"update_interval_s"`, false},
+		{"domains above node count", `{"pressure": "domains", "domains": 100000}`, `"domains"`, true},
+		{"domains above trace nodes", `{"pressure": "domains", "domains": 65, "trace": {"system_nodes": 64}}`, `"domains"`, true},
+		{"bad pressure", `{"pressure": "vibes"}`, `"pressure"`, false},
+		{"domains without pressure", `{"domains": 4}`, `"domains"`, false},
+		{"negative domains", `{"pressure": "domains", "domains": -1}`, `"domains"`, false},
+		{"unknown field", `{"unknown_field": 1}`, `unknown_field`, false},
+		{"not json", `not json`, `scenario:`, false},
+		{"empty input", ``, `empty spec`, false},
+		{"whitespace only", "  \n\t", `empty spec`, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadScenario(strings.NewReader(tc.in))
+			s, err := LoadScenario(strings.NewReader(tc.in))
+			if tc.needsPreset {
+				if err != nil {
+					t.Fatalf("LoadScenario rejected %q: %v", tc.in, err)
+				}
+				// Quick: 64 nodes.
+				_, err = Quick().ScenarioKey(s)
+			}
 			if err == nil {
 				t.Fatalf("accepted %q", tc.in)
 			}

@@ -95,18 +95,16 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 // simulated weeks. Each week is normalised against its own +0 % baseline.
 // A cell is infeasible if any week cannot run its jobs there.
 func (p Preset) GrizzlyGrid(overest float64) (*ThroughputGrid, error) {
-	traces0, err := p.GrizzlyTraces(0)
+	weeks := p.grizzlyWeeks(math.MaxInt)
+	traces0, err := p.grizzlyJobs(weeks, 0)
 	if err != nil {
 		return nil, err
 	}
 	tracesOv := traces0
 	if overest != 0 {
-		if tracesOv, err = p.GrizzlyTraces(overest); err != nil {
+		if tracesOv, err = p.grizzlyJobs(weeks, overest); err != nil {
 			return nil, err
 		}
-	}
-	if len(tracesOv) != len(traces0) {
-		return nil, fmt.Errorf("experiments: grizzly week count changed across overestimations")
 	}
 	// One norm-then-sweep chain per sampled week, all weeks in flight at
 	// once on the shared pool.

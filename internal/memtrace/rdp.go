@@ -1,5 +1,7 @@
 package memtrace
 
+import "math"
+
 // Ramer–Douglas–Peucker polyline simplification, used by the paper's trace
 // pipeline to shrink per-job memory-usage traces before simulation.
 //
@@ -31,7 +33,20 @@ func (tr *Trace) RDP(epsMB float64) *Trace {
 // rdpMark marks the points to keep between indices lo and hi (exclusive
 // interior), recursing on the point of maximum vertical deviation. An
 // explicit stack avoids deep recursion on very long traces.
+//
+// The deviation that picks the point is the division-per-point expression
+// below; a cheaper one with a precomputed slope filters out the points
+// that cannot beat the current worst. The two differ by far less than
+// bound (DESIGN.md, "Trace generation"), so every point the exact scan
+// would take as a new worst is still evaluated exactly, and the kept set,
+// first-occurrence tie-break included, is the exact scan's.
 func rdpMark(pts []Point, lo, hi int, eps float64, keep []bool) {
+	var peak float64
+	for _, p := range pts[lo : hi+1] {
+		if m := math.Abs(float64(p.MB)); m > peak {
+			peak = m
+		}
+	}
 	type span struct{ lo, hi int }
 	stack := []span{{lo, hi}}
 	for len(stack) > 0 {
@@ -42,18 +57,29 @@ func rdpMark(pts []Point, lo, hi int, eps float64, keep []bool) {
 		}
 		a, b := pts[s.lo], pts[s.hi]
 		dt := b.T - a.T
+		aMB := float64(a.MB)
+		dMB := float64(b.MB) - float64(a.MB)
+		slope := dMB / dt
+		bound := 0x1p-40 * (math.Abs(aMB) + math.Abs(float64(b.MB)) + peak)
+		if math.Abs(dMB)*dt > 0x1p1000 {
+			// dMB·u may overflow in the exact expression: no filter.
+			bound = math.Inf(1)
+		}
 		var worst float64
+		cut := worst - bound
 		worstIdx := -1
 		for i := s.lo + 1; i < s.hi; i++ {
+			mb := float64(pts[i].MB)
+			u := pts[i].T - a.T
+			if math.Abs(mb-(aMB+slope*u)) <= cut {
+				continue
+			}
 			// Interpolated value of the chord at pts[i].T.
 			y := float64(a.MB) + (float64(b.MB)-float64(a.MB))*(pts[i].T-a.T)/dt
-			d := float64(pts[i].MB) - y
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
+			if d := math.Abs(mb - y); d > worst {
 				worst = d
 				worstIdx = i
+				cut = worst - bound
 			}
 		}
 		if worst > eps && worstIdx >= 0 {

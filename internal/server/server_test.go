@@ -390,11 +390,21 @@ func TestValidationAndLookups(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, body := postSpec(t, ts.Client(), ts.URL, `{"policies": ["magic"]}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "policies[0]") {
-		t.Fatalf("bad spec: status %d body %s", resp.StatusCode, body)
+	for spec, field := range map[string]string{
+		`{"policies": ["magic"]}`: "policies[0]",
+		// Rejected before admission: one runs forever, one names more
+		// pressure domains than the Bench preset's 32 nodes.
+		`{"update_interval_s": 1e-9}`:                                           `\"update_interval_s\"`,
+		`{"pressure": "domains", "domains": 100000}`:                            `\"domains\"`,
+		`{"pressure": "domains", "domains": 33}`:                                `\"domains\"`,
+		`{"pressure": "domains", "domains": 65, "trace": {"system_nodes": 64}}`: `\"domains\"`,
+	} {
+		resp, body := postSpec(t, ts.Client(), ts.URL, spec)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Fatalf("bad spec %s: status %d body %s", spec, resp.StatusCode, body)
+		}
 	}
-	resp, _ = postSpec(t, ts.Client(), ts.URL, ``)
+	resp, body := postSpec(t, ts.Client(), ts.URL, ``)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec: status %d", resp.StatusCode)
 	}
@@ -565,6 +575,8 @@ func TestBranchErrors(t *testing.T) {
 		"no-variants":  {`{"mem_pct":100,"policy":"dynamic"}`, http.StatusBadRequest},
 		"foreign-cell": {`{"mem_pct":50,"policy":"dynamic","variants":[{"name":"a"}]}`, http.StatusBadRequest},
 		"foreign-pol":  {`{"mem_pct":100,"policy":"static","variants":[{"name":"a"}]}`, http.StatusBadRequest},
+		// A sub-second update period would never finish.
+		"subsec-update": {`{"mem_pct":100,"policy":"dynamic","variants":[{"name":"a","update_interval_s":1e-9}]}`, http.StatusBadRequest},
 	} {
 		if resp, body := postBranch(t, ts.Client(), ts.URL, id, tc.doc); resp.StatusCode != tc.code {
 			t.Fatalf("%s: status %d body %s, want %d", name, resp.StatusCode, body, tc.code)

@@ -114,10 +114,60 @@ func (p *Params) normalize() {
 	}
 }
 
-// Generate synthesises the dataset.
-func Generate(p Params, rng *rand.Rand) *Dataset {
+// Generate synthesises the dataset with every week's usage series built.
+// The seed fixes every draw: Generate(p, s) equals a scan of (p, s) with
+// all of its weeks materialised.
+func Generate(p Params, seed int64) *Dataset {
+	s := newScan(p, seed)
+	all := make([]*Week, len(s.Weeks))
+	for i := range s.Weeks {
+		all[i] = &s.Weeks[i]
+	}
+	s.materialize(all)
+	return &s.Dataset
+}
+
+// SampledWeeks returns the weeks pick chooses from the dataset
+// Generate(p, seed) would synthesise, building the usage series of those
+// weeks only; each returned week equals the same week of Generate's
+// dataset. pick sees every week's utilisation and every job's ID, size and
+// duration, but no usage series (each Usage is nil), so it may sample
+// weeks (Dataset.SampleWeeks, Dataset.BusiestWeek) but not build jobs. A
+// caller that keeps a few weeks, such as the paper's sampling of
+// high-utilisation weeks, pays for the series of those weeks only.
+func SampledWeeks(p Params, seed int64, pick func(*Dataset) []*Week) []*Week {
+	s := newScan(p, seed)
+	weeks := pick(&s.Dataset)
+	s.materialize(weeks)
+	return weeks
+}
+
+// scan is the dataset without its usage series, plus what materialize
+// needs to build any week's series later.
+type scan struct {
+	Dataset
+	seed    int64
+	epsFrac float64
+	series  [][]seriesStart // per week, per job
+}
+
+// seriesStart is what replaying one job's usage series needs: the peak
+// the series is drawn against, and how many values the dataset's source
+// had yielded when the series began.
+type seriesStart struct {
+	peak int64
+	pos  int64
+}
+
+// newScan draws the dataset in the order Generate does, skipping only the
+// work that builds usage series: each series' random numbers are drawn and
+// discarded, so every later job gets the numbers it would get in the full
+// dataset.
+func newScan(p Params, seed int64) *scan {
 	p.normalize()
-	d := &Dataset{Nodes: p.Nodes}
+	src := newCountingSource(seed)
+	rng := rand.New(src)
+	s := &scan{Dataset: Dataset{Nodes: p.Nodes}, seed: seed, epsFrac: p.RDPEpsilonFrac}
 	id := 1
 	for w := 0; w < p.WeekCount; w++ {
 		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
@@ -128,25 +178,83 @@ func Generate(p Params, rng *rand.Rand) *Dataset {
 			util = 0.95
 		}
 		week := Week{Index: w, Utilization: util}
+		var starts []seriesStart
 		target := util * float64(p.Nodes) * WeekSec
 		var accum float64
 		for accum < target {
-			tj := generateJob(rng, id, p)
+			tj, st := scanJob(rng, src, id, p)
 			id++
 			week.Jobs = append(week.Jobs, tj)
+			starts = append(starts, st)
 			accum += float64(tj.Nodes) * tj.Duration
 		}
 		// Recompute the achieved utilisation (the last job overshoots).
 		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
-		d.Weeks = append(d.Weeks, week)
+		s.Weeks = append(s.Weeks, week)
+		s.series = append(s.series, starts)
 	}
-	return d
+	return s
 }
 
-// generateJob draws one LDMS job: CIRNE-like size/duration, Table 2
-// (Grizzly column) memory by size class, and a 10-second usage trace
-// reduced with RDP.
-func generateJob(rng *rand.Rand, id int, p Params) TraceJob {
+// materialize builds the usage series of the given weeks of s in place. It
+// replays the dataset's random source from the seed, skipping to where
+// each job's series began, so a materialised job is identical to the same
+// job in Generate's dataset.
+func (s *scan) materialize(weeks []*Week) {
+	order := append([]*Week(nil), weeks...)
+	sort.Slice(order, func(i, j int) bool { return order[i].Index < order[j].Index })
+	src := newCountingSource(s.seed)
+	rng := rand.New(src)
+	for k, w := range order {
+		if k > 0 && order[k-1].Index == w.Index {
+			continue // the source cannot rewind to a week built already
+		}
+		for i := range w.Jobs {
+			st := s.series[w.Index][i]
+			src.skipTo(st.pos)
+			w.Jobs[i].Usage = ldmsTrace(rng, st.peak, w.Jobs[i].Duration, s.epsFrac, true)
+		}
+	}
+}
+
+// countingSource is the dataset's random source together with the number
+// of values drawn from it, which lets materialize replay the source to the
+// start of any job's usage series.
+type countingSource struct {
+	src rand.Source64
+	n   int64
+}
+
+func newCountingSource(seed int64) *countingSource {
+	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+}
+
+func (c *countingSource) Int63() int64 {
+	c.n++
+	return c.src.Int63()
+}
+
+func (c *countingSource) Uint64() uint64 {
+	c.n++
+	return c.src.Uint64()
+}
+
+func (c *countingSource) Seed(seed int64) {
+	c.src.Seed(seed)
+	c.n = 0
+}
+
+// skipTo discards values until n have been drawn.
+func (c *countingSource) skipTo(n int64) {
+	for c.n < n {
+		c.Int63()
+	}
+}
+
+// scanJob draws one LDMS job: CIRNE-like size/duration, Table 2 (Grizzly
+// column) memory by size class, and the draws of a 10-second usage trace,
+// which it does not build.
+func scanJob(rng *rand.Rand, src *countingSource, id int, p Params) (TraceJob, seriesStart) {
 	nodes := sampleSize(rng)
 	if nodes > p.Nodes {
 		nodes = p.Nodes // a job cannot outsize the system it ran on
@@ -161,8 +269,9 @@ func generateJob(rng *rand.Rand, id int, p Params) TraceJob {
 	if peak > NodeMemMB {
 		peak = NodeMemMB
 	}
-	usage := ldmsTrace(rng, peak, duration, p.RDPEpsilonFrac)
-	return TraceJob{ID: id, Nodes: nodes, Duration: duration, Usage: usage}
+	st := seriesStart{peak: peak, pos: src.n}
+	ldmsTrace(rng, peak, duration, p.RDPEpsilonFrac, false)
+	return TraceJob{ID: id, Nodes: nodes, Duration: duration}, st
 }
 
 func sampleSize(rng *rand.Rand) int {
@@ -191,11 +300,13 @@ func sampleDuration(rng *rand.Rand) float64 {
 	return d
 }
 
-// ldmsTrace builds a 10-second-cadence usage series with an HPC phase
-// structure (low mean, occasional peak phase) and reduces it with RDP.
-// The raw series is capped at 20k samples; longer jobs are sampled
-// proportionally coarser, which RDP would do anyway.
-func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64) *memtrace.Trace {
+// ldmsTrace draws a 10-second-cadence usage series with an HPC phase
+// structure (low mean, occasional peak phase) and, when build is set,
+// reduces it with RDP. Without build it draws the same random numbers but
+// has no point sink: it keeps no points and returns nil. The raw series is
+// capped at 20k samples; longer jobs are sampled proportionally coarser,
+// which RDP would do anyway.
+func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64, build bool) *memtrace.Trace {
 	n := int(duration / SampleInterval)
 	if n < 2 {
 		n = 2
@@ -207,7 +318,10 @@ func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64) *memtrace.
 	base := float64(peak) * (0.1 + 0.25*rng.Float64())
 	peakStart := rng.Intn(n)
 	peakLen := 1 + rng.Intn(n/4+1)
-	pts := make([]memtrace.Point, n)
+	var pts []memtrace.Point
+	if build {
+		pts = make([]memtrace.Point, n)
+	}
 	level := base
 	for i := 0; i < n; i++ {
 		if i >= peakStart && i < peakStart+peakLen {
@@ -223,7 +337,12 @@ func ldmsTrace(rng *rand.Rand, peak int64, duration, epsFrac float64) *memtrace.
 				level = float64(peak)
 			}
 		}
-		pts[i] = memtrace.Point{T: float64(i) * step, MB: int64(level)}
+		if pts != nil {
+			pts[i] = memtrace.Point{T: float64(i) * step, MB: int64(level)}
+		}
+	}
+	if pts == nil {
+		return nil
 	}
 	pts[peakStart].MB = peak // the peak value is exact
 	tr := memtrace.MustNew(pts)
@@ -248,6 +367,18 @@ func (d *Dataset) SampleWeeks(rng *rand.Rand, minUtil float64, n int) ([]*Week, 
 	}
 	sort.Slice(eligible, func(i, j int) bool { return eligible[i].Index < eligible[j].Index })
 	return eligible, nil
+}
+
+// BusiestWeek returns the highest-utilisation week (the first on a tie),
+// the fallback when no week passes SampleWeeks' threshold.
+func (d *Dataset) BusiestWeek() *Week {
+	best := &d.Weeks[0]
+	for i := range d.Weeks {
+		if d.Weeks[i].Utilization > best.Utilization {
+			best = &d.Weeks[i]
+		}
+	}
+	return best
 }
 
 // BuildParams controls the augmentation of a week into simulator jobs:

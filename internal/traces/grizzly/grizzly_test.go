@@ -3,6 +3,7 @@ package grizzly
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,8 +14,121 @@ func smallParams(weeks int) Params {
 	return Params{Nodes: 64, WeekCount: weeks}
 }
 
+// eagerGenerate is the one-pass generator the scan and materialize passes
+// replace:
+// each job's usage series is built as soon as its numbers are drawn. It is
+// the oracle the two passes must match job for job.
+func eagerGenerate(p Params, rng *rand.Rand) *Dataset {
+	p.normalize()
+	d := &Dataset{Nodes: p.Nodes}
+	id := 1
+	for w := 0; w < p.WeekCount; w++ {
+		util := p.MeanUtil + rng.NormFloat64()*p.UtilSigma
+		if util < 0.2 {
+			util = 0.2
+		}
+		if util > 0.95 {
+			util = 0.95
+		}
+		week := Week{Index: w, Utilization: util}
+		target := util * float64(p.Nodes) * WeekSec
+		var accum float64
+		for accum < target {
+			tj := eagerJob(rng, id, p)
+			id++
+			week.Jobs = append(week.Jobs, tj)
+			accum += float64(tj.Nodes) * tj.Duration
+		}
+		week.Utilization = accum / (float64(p.Nodes) * WeekSec)
+		d.Weeks = append(d.Weeks, week)
+	}
+	return d
+}
+
+func eagerJob(rng *rand.Rand, id int, p Params) TraceJob {
+	nodes := sampleSize(rng)
+	if nodes > p.Nodes {
+		nodes = p.Nodes
+	}
+	duration := sampleDuration(rng)
+	var peak int64
+	if nodes > 32 {
+		peak = workload.GrizzlyLargeSize.SampleMB(rng)
+	} else {
+		peak = workload.GrizzlyNormalSize.SampleMB(rng)
+	}
+	if peak > NodeMemMB {
+		peak = NodeMemMB
+	}
+	usage := ldmsTrace(rng, peak, duration, p.RDPEpsilonFrac, true)
+	return TraceJob{ID: id, Nodes: nodes, Duration: duration, Usage: usage}
+}
+
+// TestSampledWeeksMatchEager pins the two-pass generator to the
+// one-pass oracle: materialising every week gives the oracle's dataset,
+// and materialising only the sampled weeks (or the busiest week, when no
+// week passes the threshold) gives the oracle's jobs for those weeks
+// while the other weeks stay unbuilt.
+func TestSampledWeeksMatchEager(t *testing.T) {
+	params := []Params{
+		{Nodes: 8, WeekCount: 1},
+		{Nodes: 40, WeekCount: 2}, // jobs above 32 nodes draw large-job peaks
+		{Nodes: 4, WeekCount: 26},
+		{Nodes: 12, WeekCount: 8, RDPEpsilonFrac: 0.005},
+		{Nodes: 8, WeekCount: 8, MeanUtil: 0.3, UtilSigma: 0.01}, // no week reaches 0.7
+	}
+	fallbacks := 0
+	for _, p := range params {
+		for seed := int64(1); seed <= 10; seed++ {
+			want := eagerGenerate(p, rand.New(rand.NewSource(seed)))
+			if got := Generate(p, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v seed %d: Generate differs from the eager generator", p, seed)
+			}
+			var wantWeeks []*Week
+			var wantErr error
+			var scanned *Dataset
+			gotWeeks := SampledWeeks(p, seed, func(d *Dataset) []*Week {
+				scanned = d
+				weeks, err := d.SampleWeeks(rand.New(rand.NewSource(seed+100)), 0.7, 2)
+				wantWeeks, wantErr = want.SampleWeeks(rand.New(rand.NewSource(seed+100)), 0.7, 2)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("%+v seed %d: sampling error %v, eager %v", p, seed, err, wantErr)
+				}
+				if err != nil {
+					weeks = []*Week{d.BusiestWeek()}
+				}
+				// A repeated week is built once.
+				return append(weeks, weeks[0])
+			})
+			if wantErr != nil {
+				fallbacks++
+				wantWeeks = []*Week{want.BusiestWeek()}
+			}
+			wantWeeks = append(wantWeeks, wantWeeks[0])
+			if len(gotWeeks) != len(wantWeeks) {
+				t.Fatalf("%+v seed %d: %d sampled weeks, eager %d", p, seed, len(gotWeeks), len(wantWeeks))
+			}
+			built := map[int]bool{}
+			for i := range gotWeeks {
+				built[gotWeeks[i].Index] = true
+				if !reflect.DeepEqual(*gotWeeks[i], *wantWeeks[i]) {
+					t.Fatalf("%+v seed %d: sampled week %d differs from the eager generator", p, seed, wantWeeks[i].Index)
+				}
+			}
+			for _, w := range scanned.Weeks {
+				if !built[w.Index] && w.Jobs[0].Usage != nil {
+					t.Fatalf("%+v seed %d: week %d was not sampled but has usage series", p, seed, w.Index)
+				}
+			}
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no case reached the busiest-week fallback")
+	}
+}
+
 func TestGenerateWeeks(t *testing.T) {
-	d := Generate(smallParams(8), rand.New(rand.NewSource(1)))
+	d := Generate(smallParams(8), 1)
 	if len(d.Weeks) != 8 {
 		t.Fatalf("weeks = %d, want 8", len(d.Weeks))
 	}
@@ -38,7 +152,7 @@ func TestGenerateWeeks(t *testing.T) {
 }
 
 func TestJobShapes(t *testing.T) {
-	d := Generate(smallParams(3), rand.New(rand.NewSource(2)))
+	d := Generate(smallParams(3), 2)
 	for _, w := range d.Weeks {
 		for i := range w.Jobs {
 			j := &w.Jobs[i]
@@ -59,7 +173,7 @@ func TestJobShapes(t *testing.T) {
 }
 
 func TestMemoryDistributionMatchesTable2(t *testing.T) {
-	d := Generate(Params{Nodes: 256, WeekCount: 20}, rand.New(rand.NewSource(3)))
+	d := Generate(Params{Nodes: 256, WeekCount: 20}, 3)
 	var normalMB, largeMB []int64
 	for _, w := range d.Weeks {
 		for i := range w.Jobs {
@@ -85,7 +199,7 @@ func TestMemoryDistributionMatchesTable2(t *testing.T) {
 func TestMeanMemoryUtilisationLow(t *testing.T) {
 	// Panwar et al. report ~18 % average node memory utilisation; our
 	// generator must keep the average well below the peak.
-	d := Generate(smallParams(4), rand.New(rand.NewSource(4)))
+	d := Generate(smallParams(4), 4)
 	var meanSum, peakSum float64
 	var n int
 	for _, w := range d.Weeks {
@@ -107,7 +221,7 @@ func TestMeanMemoryUtilisationLow(t *testing.T) {
 }
 
 func TestSampleWeeks(t *testing.T) {
-	d := Generate(smallParams(20), rand.New(rand.NewSource(5)))
+	d := Generate(smallParams(20), 5)
 	rng := rand.New(rand.NewSource(6))
 	weeks, err := d.SampleWeeks(rng, 0.7, 5)
 	if err != nil {
@@ -127,7 +241,7 @@ func TestSampleWeeks(t *testing.T) {
 }
 
 func TestBuildJobs(t *testing.T) {
-	d := Generate(smallParams(4), rand.New(rand.NewSource(7)))
+	d := Generate(smallParams(4), 7)
 	w := &d.Weeks[0]
 	jobs, err := w.BuildJobs(BuildParams{Overestimation: 0.6, Seed: 8})
 	if err != nil {
@@ -153,7 +267,7 @@ func TestBuildJobs(t *testing.T) {
 }
 
 func TestWeekAggregates(t *testing.T) {
-	d := Generate(smallParams(2), rand.New(rand.NewSource(9)))
+	d := Generate(smallParams(2), 9)
 	w := &d.Weeks[0]
 	maxNH := w.MaxJobNodeHours()
 	maxMem := w.MaxJobMemMB()
@@ -170,7 +284,7 @@ func TestWeekAggregates(t *testing.T) {
 // Property: overestimation sweeps preserve the request ≥ peak invariant and
 // the ordering request(+a) ≤ request(+b) for a ≤ b.
 func TestQuickOverestimationMonotone(t *testing.T) {
-	d := Generate(smallParams(1), rand.New(rand.NewSource(10)))
+	d := Generate(smallParams(1), 10)
 	w := &d.Weeks[0]
 	f := func(seed int64, a, b float64) bool {
 		a = math.Abs(math.Mod(a, 1))

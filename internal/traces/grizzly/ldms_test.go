@@ -3,7 +3,6 @@ package grizzly
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
 
 	"dismem/internal/memtrace"
@@ -12,7 +11,7 @@ import (
 // tinyWeek builds a small week suitable for record-level tests.
 func tinyWeek(t *testing.T, nodes int) *Week {
 	t.Helper()
-	d := Generate(Params{Nodes: nodes, WeekCount: 1, MeanUtil: 0.5}, rand.New(rand.NewSource(11)))
+	d := Generate(Params{Nodes: nodes, WeekCount: 1, MeanUtil: 0.5}, 11)
 	return &d.Weeks[0]
 }
 

@@ -10,7 +10,8 @@
 # what-if branching off one frozen base).
 # Benchmarks covered: the whole-figure pipeline benchmarks (Fig. 5 pooled,
 # Fig. 5 serial from internal/experiments where the serial driver lives, the
-# replicated headlines, trace generation vs cache hit), the end-to-end
+# replicated headlines, trace generation vs cache hit, the Grizzly
+# workload's set-up in BenchmarkGrizzlyTrace), the end-to-end
 # BenchmarkScenario suite (the preset-scale policies at 100x; grizzly-scale,
 # its domains twin, and the 100k-node scenarios separately at 1x — one
 # iteration is a full cluster-scale run), the refresh micro-benchmark under
@@ -20,7 +21,8 @@
 # read path, first-write materialisation) and the what-if branching headline
 # (branched vs nine full runs), and the micro-benchmarks for each indexed
 # structure (lender ranking, sharded ascend, dynamic placement, engine
-# schedule/cancel, trace cursor).
+# schedule/cancel, trace cursor) and BenchmarkRDP, the RDP marking scan
+# (reference: a division per point; filtered: the production scan).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,6 +46,7 @@ run ./internal/experiments 'BenchmarkFig5Serial$'       5x
 run .                    'BenchmarkHeadlines$'          3x
 run .                    'BenchmarkTraceGeneration$'    1s 3
 run .                    'BenchmarkTraceCacheHit$'      1s 3
+run .                    'BenchmarkGrizzlyTrace$'       1x 3
 run .                    'BenchmarkScenario$/^(baseline|static|dynamic)$' 100x 5
 # The cluster-scale scenarios record the median of three single-iteration
 # runs: one shot of a multi-second benchmark tracks recorder load as much
@@ -62,6 +65,7 @@ run ./internal/cluster   'BenchmarkShardedAscend'       1s 3
 run ./internal/policy    'BenchmarkPlaceDynamic'        1s 3
 run ./internal/sim       'BenchmarkEngineScheduleCancel' 1s 3
 run ./internal/memtrace  'BenchmarkTraceAtSequential'   1s 3
+run ./internal/memtrace  'BenchmarkRDP$'                1s 3
 
 awk -v commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
