@@ -213,8 +213,8 @@ func BenchmarkScenario(b *testing.B) {
 	})
 
 	// 100k: the scale target — a 100,000-node cluster with ~2000
-	// concurrently running multi-node jobs under the dynamic policy, with
-	// the sharded ledger on. The trace is
+	// concurrently running multi-node jobs under the dynamic policy and the
+	// paper's global pressure, which runs a one-shard ledger. The trace is
 	// handcrafted (the synthetic generators top out at paper scale) so the
 	// benchmark isolates simulator cost, not generation cost. One iteration
 	// must stay under a minute on a single core (gated in CI).
@@ -225,7 +225,6 @@ func BenchmarkScenario(b *testing.B) {
 				Nodes:    100_000,
 				Cores:    32,
 				NormalMB: experiments.NormalNodeMB,
-				Shards:   64,
 			},
 			Policy:         policy.Dynamic,
 			UpdateInterval: 200,
@@ -244,7 +243,8 @@ func BenchmarkScenario(b *testing.B) {
 	})
 
 	// 100k-domains: the 100k scenario, on the same jobs, under the
-	// partitioned pressure model. The per-event refresh drops from
+	// partitioned pressure model: 64 domains, so a 64-shard ledger. The
+	// per-event refresh drops from
 	// O(running set) to O(touched-domain residents) — the algorithmic win
 	// the CI speedup gate tracks against plain 100k.
 	b.Run("100k-domains", func(b *testing.B) {

@@ -94,27 +94,36 @@ type Cluster struct {
 	// CapacityMB > largeMB is "large" in the idle-split summary.
 	largeMB int64
 
-	lendersBuf []NodeID // scratch returned by LendersByFreeDesc
-	idleBuf    []NodeID // scratch returned by IdleComputeNodes
+	idleBuf []NodeID // scratch returned by IdleComputeNodes
 
 	// cow tracks which structures are frozen because another fork still
 	// reads them (see cow.go). Zero value = nothing shared.
 	cow cowState
 }
 
+// EffectiveShards returns how many contiguous shards a ledger of n nodes
+// asked for the given shard count actually builds: every shard but the last
+// owns ceil(n/asked) nodes and empty tail shards are dropped, so on 64
+// nodes 48 or 63 build 32 shards. Counts below 1 build one shard and counts
+// above n build one shard per node.
+func EffectiveShards(n, asked int) int {
+	if asked < 1 || n < 1 {
+		return 1
+	}
+	if asked > n {
+		asked = n
+	}
+	size := (n + asked - 1) / asked
+	return (n + size - 1) / size
+}
+
 // initIndexes builds the incremental indexes from the freshly constructed
-// node slice, partitioned into nShards contiguous shards. Nodes start idle
-// and empty, so free == capacity everywhere.
+// node slice, partitioned into EffectiveShards(n, nShards) contiguous
+// shards. Nodes start idle and empty, so free == capacity everywhere.
 func (c *Cluster) initIndexes(nShards int) {
 	n := len(c.nodes)
-	if nShards < 1 {
-		nShards = 1
-	}
-	if nShards > n {
-		nShards = n
-	}
+	nShards = EffectiveShards(n, nShards)
 	c.shardSize = (n + nShards - 1) / nShards
-	nShards = (n + c.shardSize - 1) / c.shardSize // drop empty tail shards
 	c.shards = make([]shardIx, nShards)
 	c.mergeIts = make([]freeIter, nShards)
 	c.capOrder = make([]NodeID, n)
@@ -199,42 +208,25 @@ type Config struct {
 	Cores     int   // cores per node
 	NormalMB  int64 // capacity of a normal node
 	LargeFrac float64
-	// Shards partitions the ledger indexes into this many contiguous
-	// shards (see shard.go). 0 or 1 keeps the single-shard layout, which
-	// is bit-identical to the pre-sharding ledger; values above Nodes are
-	// clamped. Results are identical for every shard count — only the
-	// index update and scan costs change.
-	Shards int
 }
 
 // New builds a single-shard cluster of n homogeneous nodes. All nodes count
 // as "normal" in the idle-split summary: the large class is defined as
 // capacity above the normal size, and a homogeneous cluster has none.
 func New(n, cores int, capacityMB int64) *Cluster {
-	return NewSharded(n, cores, capacityMB, 1)
-}
-
-// NewSharded is New with an explicit ledger shard count. The node array it
-// fills is freshly allocated and unshared: no fork can exist before the
-// constructor returns.
-//
-//dmp:cowsafe
-func NewSharded(n, cores int, capacityMB int64, shards int) *Cluster {
-	c := &Cluster{nodes: make([]Node, n), largeMB: capacityMB}
-	for i := range c.nodes {
-		c.nodes[i] = Node{ID: NodeID(i), Cores: cores, CapacityMB: capacityMB, RunningJob: NoJob}
-	}
-	c.initIndexes(shards)
-	return c
+	return NewMixed(Config{Nodes: n, Cores: cores, NormalMB: capacityMB}, 1)
 }
 
 // NewMixed builds a cluster per Config: the first round(LargeFrac·Nodes)
 // nodes are large (2× NormalMB), the rest normal. The paper sweeps LargeFrac
-// over {0, 0.15, 0.25, 0.50, 0.75, 1.0}. Like NewSharded, it writes a node
-// array no fork can share yet.
+// over {0, 0.15, 0.25, 0.50, 0.75, 1.0}. The ledger is partitioned into
+// EffectiveShards(cfg.Nodes, shards) contiguous shards (see shard.go); the
+// simulator passes one per pressure domain. The node array it fills is
+// freshly allocated and unshared: no fork can exist before the constructor
+// returns.
 //
 //dmp:cowsafe
-func NewMixed(cfg Config) *Cluster {
+func NewMixed(cfg Config, shards int) *Cluster {
 	c := &Cluster{nodes: make([]Node, cfg.Nodes), largeMB: cfg.NormalMB}
 	nLarge := int(float64(cfg.Nodes)*cfg.LargeFrac + 0.5)
 	for i := range c.nodes {
@@ -244,7 +236,7 @@ func NewMixed(cfg Config) *Cluster {
 		}
 		c.nodes[i] = Node{ID: NodeID(i), Cores: cfg.Cores, CapacityMB: cap, RunningJob: NoJob}
 	}
-	c.initIndexes(cfg.Shards)
+	c.initIndexes(shards)
 	return c
 }
 
@@ -308,19 +300,6 @@ func (c *Cluster) IdleComputeNodes() []NodeID {
 	}
 	c.idleBuf = buf
 	return c.idleBuf
-}
-
-// idleComputeNodesRef is the retained pre-index reference implementation:
-// a full rescan of the node slice. The differential tests assert the bitset
-// stays byte-identical to it after every ledger operation.
-func (c *Cluster) idleComputeNodesRef() []NodeID {
-	var ids []NodeID
-	for i := range c.nodes {
-		if c.nodes[i].IsComputeAvailable() {
-			ids = append(ids, NodeID(i))
-		}
-	}
-	return ids
 }
 
 // IdleComputeCount returns the number of compute-available nodes (O(S) sum
@@ -462,66 +441,6 @@ func (c *Cluster) ReturnLend(id NodeID, mb int64) error {
 	c.reindexMem(n, -mb)
 	c.reindexIdle(n)
 	return nil
-}
-
-// LendersByFreeDesc returns the IDs of all nodes with free memory, sorted by
-// free memory descending (ties by ascending ID), excluding the nodes in
-// exclude. The static policy borrows from the most-free nodes first to
-// minimise the number of lenders per job.
-//
-// The slice is read from the incremental free-memory index — no rescan, no
-// sort, no allocation beyond the first call. It is a scratch buffer owned by
-// the cluster: valid until the next LendersByFreeDesc call, and it must not
-// be retained, mutated, or read across ledger mutations.
-func (c *Cluster) LendersByFreeDesc(exclude map[NodeID]bool) []NodeID {
-	ids := c.lendersBuf[:0]
-	if len(c.shards) == 1 {
-		// Single-shard fast path: local index == NodeID, so the consumer
-		// logic runs directly in the treap walk's yield — one dynamic call
-		// per node, same as the pre-shard ledger.
-		c.shards[0].free.ascend(func(local int32, free int64) bool {
-			if free <= 0 {
-				return false // descending order: everything after is empty too
-			}
-			if id := NodeID(local); !exclude[id] {
-				ids = append(ids, id)
-			}
-			return true
-		})
-	} else {
-		c.ascendAll(false, func(id NodeID, free int64) bool {
-			if !exclude[id] {
-				ids = append(ids, id)
-			}
-			return true
-		})
-	}
-	c.lendersBuf = ids
-	return ids
-}
-
-// lendersByFreeDescRef is the retained pre-index reference implementation
-// (rescan + sort per call). The differential tests assert the index walk
-// returns byte-identical orderings to it for arbitrary op sequences.
-func (c *Cluster) lendersByFreeDescRef(exclude map[NodeID]bool) []NodeID {
-	var ids []NodeID
-	for i := range c.nodes {
-		id := NodeID(i)
-		if exclude[id] {
-			continue
-		}
-		if c.nodes[i].FreeMB() > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := c.nodes[ids[a]].FreeMB(), c.nodes[ids[b]].FreeMB()
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids
 }
 
 // AscendLenders walks the nodes with free memory in (free desc, ID asc)

@@ -8,7 +8,7 @@ import "testing"
 // the snapshot cost includes realistic treap and bitset population.
 func benchForkCluster(b *testing.B) *Cluster {
 	b.Helper()
-	c := NewSharded(1490, 32, 65536, 16)
+	c := NewMixed(Config{Nodes: 1490, Cores: 32, NormalMB: 65536}, 16)
 	for i := 0; i < c.Len(); i++ {
 		id := NodeID(i)
 		if err := c.StartJob(id, i); err != nil {

@@ -94,7 +94,7 @@ func TestForkDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			for seed := int64(0); seed < 10; seed++ {
 				build := func() *Cluster {
-					c := NewMixed(Config{Nodes: 24, Cores: 32, NormalMB: 4096, LargeFrac: 0.25, Shards: shards})
+					c := NewMixed(Config{Nodes: 24, Cores: 32, NormalMB: 4096, LargeFrac: 0.25}, shards)
 					applyOps(t, c, rand.New(rand.NewSource(seed)), 150)
 					return c
 				}
@@ -127,7 +127,7 @@ func TestForkDifferential(t *testing.T) {
 // Reading through a fork must not materialise anything: the whole point of
 // the snapshot is that an untouched branch costs O(S) and nothing more.
 func TestForkNoWriteNoCopies(t *testing.T) {
-	c := NewSharded(64, 32, 4096, 8)
+	c := NewMixed(Config{Nodes: 64, Cores: 32, NormalMB: 4096}, 8)
 	applyOps(t, c, rand.New(rand.NewSource(7)), 200)
 	f := c.Fork()
 	_ = fingerprint(f)
@@ -154,7 +154,7 @@ func TestForkNoWriteNoCopies(t *testing.T) {
 // A single write to a fork thaws exactly the touched shard (plus the one
 // node-slice copy) and leaves the base bit-identical.
 func TestForkFirstTouchGranularity(t *testing.T) {
-	c := NewSharded(64, 32, 4096, 8)
+	c := NewMixed(Config{Nodes: 64, Cores: 32, NormalMB: 4096}, 8)
 	applyOps(t, c, rand.New(rand.NewSource(11)), 200)
 	before := fingerprint(c)
 	f := c.Fork()
@@ -188,7 +188,7 @@ func TestForkFirstTouchGranularity(t *testing.T) {
 // copies before its first write, frozen arrays are only read. Run under
 // -race this is the aliasing proof.
 func TestForkConcurrentBranches(t *testing.T) {
-	c := NewSharded(48, 32, 4096, 6)
+	c := NewMixed(Config{Nodes: 48, Cores: 32, NormalMB: 4096}, 6)
 	applyOps(t, c, rand.New(rand.NewSource(3)), 200)
 
 	branches := make([]*Cluster, 8)

@@ -6,9 +6,9 @@ import "math/bits"
 // full-cluster rescans on the simulator's hot paths:
 //
 //   - freeIndex: a treap over all nodes keyed by (free memory descending,
-//     node ID ascending) — exactly the order LendersByFreeDesc and the
-//     static-placement candidate sort used to produce with a fresh sort per
-//     call. Every ledger operation that changes a node's free memory
+//     node ID ascending) — exactly the order the retired lender ranking
+//     and the static-placement candidate sort used to produce with a fresh
+//     sort per call. Every ledger operation that changes a node's free memory
 //     repositions that one node in O(log N) expected time, so ranking
 //     lenders becomes an in-order walk instead of an O(N log N) rebuild.
 //   - idleSet: a bitset of compute-available nodes maintained by
@@ -20,8 +20,9 @@ import "math/bits"
 // a fixed hash of the node ID, so the tree shape — and therefore every
 // traversal — depends only on the ledger state, never on insertion history
 // or randomness. The reference implementations the indexes replaced are
-// retained in cluster.go (lendersByFreeDescRef, idleComputeNodesRef) and the
-// differential tests assert byte-identical orderings against them.
+// test-side oracles (lendersByFreeDescRef, idleComputeNodesRef in
+// index_test.go); the differential tests assert byte-identical orderings
+// against them.
 
 const nilIdx = int32(-1)
 

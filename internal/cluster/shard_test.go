@@ -24,7 +24,7 @@ func TestShardedLedgerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var cs []*Cluster
 	for _, s := range shardCountsFor(nodes) {
-		cs = append(cs, NewSharded(nodes, 8, 2048, s))
+		cs = append(cs, NewMixed(Config{Nodes: nodes, Cores: 8, NormalMB: 2048}, s))
 	}
 	exclude := map[NodeID]bool{3: true, 11: true}
 	for step := 0; step < 4000; step++ {
@@ -72,7 +72,7 @@ func TestShardedLedgerDifferential(t *testing.T) {
 			continue
 		}
 		ref := cs[0]
-		wantLenders := append([]NodeID(nil), ref.LendersByFreeDesc(exclude)...)
+		wantLenders := lenderIDs(ref, exclude)
 		wantRef := ref.lendersByFreeDescRef(exclude)
 		if !reflect.DeepEqual(wantLenders, wantRef) {
 			t.Fatalf("step %d: single-shard walk diverged from rescan reference", step)
@@ -87,8 +87,8 @@ func TestShardedLedgerDifferential(t *testing.T) {
 			if err := c.CheckInvariants(); err != nil {
 				t.Fatalf("step %d shards=%d: %v", step, c.ShardCount(), err)
 			}
-			got := c.LendersByFreeDesc(exclude)
-			if !reflect.DeepEqual(append([]NodeID(nil), got...), wantLenders) {
+			got := lenderIDs(c, exclude)
+			if !reflect.DeepEqual(got, wantLenders) {
 				t.Fatalf("step %d shards=%d: lender order diverged\n got %v\nwant %v",
 					step, c.ShardCount(), got, wantLenders)
 			}
@@ -118,7 +118,7 @@ func TestShardedLedgerDifferential(t *testing.T) {
 // sum to the global aggregates, and that AscendShardLenders visits exactly
 // the shard's lenders in (free desc, ID asc) order.
 func TestShardSummaries(t *testing.T) {
-	c := NewSharded(10, 4, 1000, 4) // shardSize 3: shards of 3,3,3,1
+	c := NewMixed(Config{Nodes: 10, Cores: 4, NormalMB: 1000}, 4) // shardSize 3: shards of 3,3,3,1
 	if got := c.ShardCount(); got != 4 {
 		t.Fatalf("ShardCount = %d, want 4", got)
 	}
@@ -182,7 +182,7 @@ func (c *Cluster) AllocLocalForTest(id NodeID, mb int64) error {
 // steady state: the per-shard iterators and the merge heap are persistent
 // scratch.
 func TestShardedWalkAllocationFree(t *testing.T) {
-	c := NewSharded(256, 8, 2048, 8)
+	c := NewMixed(Config{Nodes: 256, Cores: 8, NormalMB: 2048}, 8)
 	for i := 0; i < 64; i++ {
 		if err := c.Lend(NodeID(i*3), int64(100+i)); err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func BenchmarkShardedAscend(b *testing.B) {
 	for _, shards := range []int{1, 16, 64} {
 		b.Run(map[int]string{1: "shards=1", 16: "shards=16", 64: "shards=64"}[shards], func(b *testing.B) {
 			const nodes = 16384
-			c := NewSharded(nodes, 8, 2048, shards)
+			c := NewMixed(Config{Nodes: nodes, Cores: 8, NormalMB: 2048}, shards)
 			// Exhaust everything except the first 16 nodes: the surviving
 			// lender set is concentrated in the first shard, so with many
 			// shards the walk consults one treap and S−1 summaries.
@@ -238,5 +238,27 @@ func BenchmarkShardedAscend(b *testing.B) {
 				})
 			}
 		})
+	}
+}
+
+// TestEffectiveShards pins the contiguous-partition rule and checks that
+// NewMixed builds exactly the count it reports.
+func TestEffectiveShards(t *testing.T) {
+	for _, tc := range []struct{ n, asked, want int }{
+		{64, 0, 1}, {64, -3, 1}, {64, 1, 1}, {64, 16, 16}, {64, 32, 32},
+		{64, 48, 32}, {64, 63, 32}, {64, 64, 64}, {64, 100000, 64},
+		{10, 4, 4}, {4, 3, 2}, {6, 4, 3}, {6, 3, 3}, {1, 5, 1},
+	} {
+		if got := EffectiveShards(tc.n, tc.asked); got != tc.want {
+			t.Errorf("EffectiveShards(%d, %d) = %d, want %d", tc.n, tc.asked, got, tc.want)
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		for asked := 1; asked <= n+1; asked++ {
+			c := NewMixed(Config{Nodes: n, Cores: 1, NormalMB: 1}, asked)
+			if got, want := c.ShardCount(), EffectiveShards(n, asked); got != want {
+				t.Fatalf("n=%d asked=%d: built %d shards, EffectiveShards says %d", n, asked, got, want)
+			}
+		}
 	}
 }

@@ -29,7 +29,6 @@ func (s *Simulator) SetPolicy(k policy.Kind) {
 // SetBackfill swaps the backfill algorithm for all future scheduling passes.
 func (s *Simulator) SetBackfill(m BackfillMode) {
 	s.cfg.Backfill = m
-	s.cfg.DisableBackfill = m == NoBackfill
 }
 
 // SetUpdateInterval changes the mean memory-update period for jobs

@@ -134,10 +134,8 @@ type Config struct {
 	// work since its last checkpoint. Zero models ideal continuous
 	// checkpointing.
 	CheckpointInterval float64
-	// DisableBackfill turns off the backfill pass, leaving strict
-	// FIFO — the scheduler ablation. Equivalent to Backfill: NoBackfill.
-	DisableBackfill bool
-	// Backfill selects the backfill algorithm (default EASYBackfill).
+	// Backfill selects the backfill algorithm (default EASYBackfill);
+	// NoBackfill leaves strict FIFO, the scheduler ablation.
 	Backfill BackfillMode
 	// Observer, when non-nil, receives lifecycle events.
 	Observer Observer
@@ -175,11 +173,12 @@ type Config struct {
 	// individually deterministic; they produce different — both valid —
 	// trajectories.
 	Pressure PressureMode
-	// Domains sets the pressure-domain count for PressureDomains. Zero
-	// resolves to the torus Z extent when a topology is set, else to the
-	// ledger shard count when sharded, else 16; always clamped to the
-	// node count. Domains are identified with ledger shards, so Normalize
-	// forces Cluster.Shards to the resolved count in domains mode.
+	// Domains sets the pressure-domain count for PressureDomains. Each
+	// domain is one contiguous ledger shard, so only the counts the
+	// partition can build (cluster.EffectiveShards) are accepted: on 64
+	// nodes, 48 would build 32 shards and is rejected. Zero resolves to
+	// the torus Z extent when a topology is set, else 16, and then to the
+	// count the partition actually builds.
 	Domains int
 
 	// Interrupt, when non-nil, is polled between events (every
@@ -234,9 +233,6 @@ func (c *Config) Normalize() error {
 	if c.CheckpointInterval < 0 {
 		return errors.New("core: negative checkpoint interval")
 	}
-	if c.DisableBackfill {
-		c.Backfill = NoBackfill
-	}
 	if c.LenderPolicy == NearestFirst && c.Topology == nil {
 		return errors.New("core: nearest-first lending requires a topology")
 	}
@@ -252,9 +248,6 @@ func (c *Config) Normalize() error {
 		return fmt.Errorf("core: topology has %d endpoints for %d nodes",
 			c.Topology.Size(), c.Cluster.Nodes)
 	}
-	if c.Cluster.Shards < 0 {
-		return errors.New("core: negative shard count")
-	}
 	if c.Domains < 0 {
 		return errors.New("core: negative domain count")
 	}
@@ -268,21 +261,15 @@ func (c *Config) Normalize() error {
 			return errors.New("core: nearest-first lending is incompatible with pressure domains")
 		}
 		if c.Domains == 0 {
-			switch {
-			case c.Topology != nil:
+			c.Domains = 16
+			if c.Topology != nil {
 				c.Domains = c.Topology.Z
-			case c.Cluster.Shards > 1:
-				c.Domains = c.Cluster.Shards
-			default:
-				c.Domains = 16
 			}
+			c.Domains = cluster.EffectiveShards(c.Cluster.Nodes, c.Domains)
+		} else if built := cluster.EffectiveShards(c.Cluster.Nodes, c.Domains); built != c.Domains {
+			return fmt.Errorf("core: Domains %d is not attainable on %d nodes (the contiguous partition builds %d domains)",
+				c.Domains, c.Cluster.Nodes, built)
 		}
-		if c.Domains > c.Cluster.Nodes {
-			c.Domains = c.Cluster.Nodes
-		}
-		// Domains are identified with ledger shards: one shard per domain
-		// keeps every per-domain resource summary O(1).
-		c.Cluster.Shards = c.Domains
 	default:
 		return fmt.Errorf("core: unknown pressure mode %d", int(c.Pressure))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dismem/internal/job"
@@ -127,24 +128,58 @@ func TestDomainsConfigValidation(t *testing.T) {
 		t.Fatal("Domains without Pressure: domains passed Normalize")
 	}
 
-	cfg = baseConfig(8, 1024, policy.Dynamic)
-	cfg.Pressure = PressureDomains
-	cfg.Domains = 64 // more domains than nodes: clamped
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Domains != 8 || cfg.Cluster.Shards != 8 {
-		t.Fatalf("want Domains and Shards clamped to 8, got Domains=%d Shards=%d", cfg.Domains, cfg.Cluster.Shards)
+	// An explicit count the contiguous partition cannot build is an error
+	// naming the field: more domains than nodes, and 48 on 64 nodes (which
+	// would build 32).
+	for _, tc := range []struct{ nodes, domains int }{{8, 64}, {64, 48}, {64, 63}} {
+		cfg = baseConfig(tc.nodes, 1024, policy.Dynamic)
+		cfg.Pressure = PressureDomains
+		cfg.Domains = tc.domains
+		err := cfg.Normalize()
+		if err == nil || !strings.Contains(err.Error(), "Domains") {
+			t.Fatalf("%d domains on %d nodes: err = %v, want an error naming Domains", tc.domains, tc.nodes, err)
+		}
+		if _, err := New(cfg, nil); err == nil {
+			t.Fatalf("%d domains on %d nodes: New accepted the config", tc.domains, tc.nodes)
+		}
 	}
 
-	cfg = baseConfig(8, 1024, policy.Dynamic)
+	// Attainable explicit counts pass unchanged and build that many shards.
+	for _, tc := range []struct{ nodes, domains int }{{8, 8}, {8, 4}, {64, 32}, {10, 4}} {
+		cfg = baseConfig(tc.nodes, 1024, policy.Dynamic)
+		cfg.Pressure = PressureDomains
+		cfg.Domains = tc.domains
+		s, err := New(cfg, nil)
+		if err != nil {
+			t.Fatalf("%d domains on %d nodes: %v", tc.domains, tc.nodes, err)
+		}
+		if s.cfg.Domains != tc.domains || s.cl.ShardCount() != tc.domains || s.nDom != tc.domains {
+			t.Fatalf("%d domains on %d nodes: Domains=%d shards=%d nDom=%d",
+				tc.domains, tc.nodes, s.cfg.Domains, s.cl.ShardCount(), s.nDom)
+		}
+	}
+
+	// A defaulted count resolves to the count actually built: the default
+	// 16 on 24 nodes builds 12 domains of 2 nodes.
+	cfg = baseConfig(24, 1024, policy.Dynamic)
 	cfg.Pressure = PressureDomains
-	cfg.Cluster.Shards = 4
 	if err := cfg.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Domains != 4 {
-		t.Fatalf("want Domains derived from Shards=4, got %d", cfg.Domains)
+	if cfg.Domains != 12 {
+		t.Fatalf("defaulted Domains on 24 nodes = %d, want 12", cfg.Domains)
+	}
+	if err := cfg.Normalize(); err != nil || cfg.Domains != 12 {
+		t.Fatalf("Normalize is not idempotent: Domains=%d err=%v", cfg.Domains, err)
+	}
+
+	// Global pressure always runs a one-shard ledger: one domain.
+	s, err := New(baseConfig(24, 1024, policy.Dynamic), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.cl.ShardCount() != 1 || s.nDom != 1 {
+		t.Fatalf("global pressure: shards=%d nDom=%d, want 1 and 1", s.cl.ShardCount(), s.nDom)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestDisableBackfill(t *testing.T) {
 	}
 	on := runSim(t, baseConfig(2, 1000, policy.Static), jobs())
 	cfgOff := baseConfig(2, 1000, policy.Static)
-	cfgOff.DisableBackfill = true
+	cfgOff.Backfill = NoBackfill
 	off := runSim(t, cfgOff, jobs())
 
 	startOf := func(r *Result, id int) float64 {
@@ -403,15 +403,6 @@ func TestConservativeVsEasyThroughputComparable(t *testing.T) {
 func TestBackfillModeStrings(t *testing.T) {
 	if EASYBackfill.String() != "easy" || ConservativeBackfill.String() != "conservative" || NoBackfill.String() != "none" {
 		t.Fatal("backfill mode names broken")
-	}
-	// DisableBackfill maps onto NoBackfill at Normalize time.
-	cfg := baseConfig(2, 1000, policy.Static)
-	cfg.DisableBackfill = true
-	if err := cfg.Normalize(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Backfill != NoBackfill {
-		t.Fatalf("backfill = %v, want NoBackfill", cfg.Backfill)
 	}
 }
 

@@ -7,20 +7,22 @@ import (
 	"sync"
 	"testing"
 
+	"dismem/internal/cluster"
 	"dismem/internal/job"
 	"dismem/internal/telemetry"
 )
 
 // forkScenario overlays the shared differential scenario with the fork
-// suite's extra axes: ledger shard count and pressure mode both cycle with
-// the seed, so 30 seeds cover every policy × pressure × sharding cell.
+// suite's extra axis: pressure mode and domain count cycle with the seed,
+// so 30 seeds cover every policy × pressure cell on one-shard (global) and
+// multi-shard (domains) ledgers.
 func forkScenario(seed int64) (Config, func() []*job.Job) {
 	cfg, mkJobs := differentialScenario(seed)
-	cfg.Cluster.Shards = []int{0, 3, 8}[int(seed)%3]
 	if seed%2 == 1 {
-		// Domains mode: Normalize forces Cluster.Shards to the domain count.
+		// One ledger shard per domain. Ask for the count the partition
+		// builds: on 6 nodes, 4 domains build 3.
 		cfg.Pressure = PressureDomains
-		cfg.Domains = []int{2, 4}[int(seed/2)%2]
+		cfg.Domains = cluster.EffectiveShards(cfg.Cluster.Nodes, []int{2, 4}[int(seed/2)%2])
 	}
 	return cfg, mkJobs
 }

@@ -289,7 +289,9 @@ func TestDifferentialRefreshDomainsVsRescan(t *testing.T) {
 			t.Run(fmt.Sprintf("domains=%d/seed=%d", doms, seed), func(t *testing.T) {
 				cfg, mkJobs := differentialScenario(seed)
 				cfg.Pressure = PressureDomains
-				cfg.Domains = doms
+				// Ask for the count the partition builds: on 4 nodes, 3
+				// domains build 2.
+				cfg.Domains = cluster.EffectiveShards(cfg.Cluster.Nodes, doms)
 				_, n := runWithRescanOracle(t, cfg, mkJobs())
 				contended += n
 			})

@@ -50,11 +50,11 @@ type Simulator struct {
 	runList []*runningJob
 
 	// Pressure-domain state. Contention is scoped to nDom domains, each
-	// with its own traffic sum and rho. Global pressure is one domain
-	// spanning the whole cluster; under PressureDomains the domains are the
-	// ledger shards: domain d owns shard d's contiguous node-ID range, so a
-	// node's home domain is cl.ShardOf(id) and every per-domain resource
-	// summary is the shard's O(1) summary.
+	// with its own traffic sum and rho. The domains are the ledger shards:
+	// domain d owns shard d's contiguous node-ID range, so a node's home
+	// domain is cl.ShardOf(id) and every per-domain resource summary is
+	// the shard's O(1) summary. Global pressure runs a one-shard ledger,
+	// one domain spanning the whole cluster.
 	nDom         int
 	domBW        []float64       // per-domain aggregate remote bandwidth (GB/s)
 	domRho       []float64       // per-domain contention pressure
@@ -139,11 +139,19 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 	if err := checkDependencies(jobs, byID); err != nil {
 		return nil, err
 	}
+	// The one place the ledger's shard count is chosen: one shard under
+	// global pressure, a single domain spanning the cluster, and one per
+	// domain under domains pressure. Normalize has resolved Domains to a
+	// count the contiguous partition builds exactly.
+	shards := 1
+	if cfg.Pressure == PressureDomains {
+		shards = cfg.Domains
+	}
 	s := &Simulator{
 		cfg:     cfg,
 		jobs:    jobs,
 		byID:    byID,
-		cl:      cluster.NewMixed(cfg.Cluster),
+		cl:      cluster.NewMixed(cfg.Cluster, shards),
 		eng:     sim.New(),
 		tel:     cfg.Telemetry,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
@@ -153,14 +161,10 @@ func New(cfg Config, jobs []*job.Job) (*Simulator, error) {
 		prio:    make(map[int]int),
 	}
 	s.buildPlacers()
-	// Global pressure is one domain spanning the cluster; domains pressure
-	// has one per ledger shard (Normalize forced Cluster.Shards == Domains).
-	// A domain's bandwidth budget scales with the nodes it contains, the
-	// paper's per-node fabric provisioning.
-	s.nDom = 1
-	if cfg.Pressure == PressureDomains {
-		s.nDom = s.cl.ShardCount()
-	}
+	// Every ledger shard is one pressure domain. A domain's bandwidth
+	// budget scales with the nodes it contains, the paper's per-node fabric
+	// provisioning.
+	s.nDom = s.cl.ShardCount()
 	s.domBW = make([]float64, s.nDom)
 	s.domRho = make([]float64, s.nDom)
 	s.domValid = make([]bool, s.nDom)
@@ -203,12 +207,9 @@ func (s *Simulator) newPolicy() policy.Policy {
 	return policy.NewWithRanker(s.cfg.Policy, s.ranker)
 }
 
-// domOf returns a node's home pressure domain: 0 under global pressure, the
-// node's ledger shard under domains pressure.
+// domOf returns a node's home pressure domain: its ledger shard (always 0
+// under global pressure, whose ledger has one shard).
 func (s *Simulator) domOf(node cluster.NodeID) int32 {
-	if s.cfg.Pressure != PressureDomains {
-		return 0
-	}
 	return int32(s.cl.ShardOf(node))
 }
 

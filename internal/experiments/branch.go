@@ -160,7 +160,7 @@ func Branch(base *core.Simulator, variants []BranchVariant,
 	for _, f := range forks {
 		tasks = append(tasks, f.Finish)
 	}
-	results, err := sweep.Values(sweep.Run(tasks, 0))
+	results, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, nil, err
 	}

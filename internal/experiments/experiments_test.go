@@ -332,10 +332,11 @@ func TestFig4Heatmap(t *testing.T) {
 func TestGrizzlyGridMultiWeek(t *testing.T) {
 	p := tiny()
 	p.GrizzlySample = 2
-	g, err := p.GrizzlyGrid(0)
+	gs, err := p.GrizzlyGrid([]float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := gs[0]
 	if len(g.Rows) != 8 {
 		t.Fatalf("rows = %d", len(g.Rows))
 	}
@@ -343,6 +344,40 @@ func TestGrizzlyGridMultiWeek(t *testing.T) {
 	last := g.Rows[len(g.Rows)-1]
 	if isNaN(last.Baseline) || math.Abs(last.Baseline-1) > 1e-9 {
 		t.Fatalf("baseline at 100%% = %v, want 1", last.Baseline)
+	}
+}
+
+// TestGrizzlyGridSharedWeeksMatchPerOverestimation checks that one call
+// over several overestimations, which builds the weeks and their +0 % norms
+// once, equals one call per overestimation, each building its own.
+func TestGrizzlyGridSharedWeeksMatchPerOverestimation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three multi-week Grizzly grids are expensive; skipped with -short")
+	}
+	p := tiny()
+	p.GrizzlySample = 2
+	ovs := []float64{0, 0.6}
+	shared, err := p.GrizzlyGrid(ovs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared) != len(ovs) {
+		t.Fatalf("%d grids for %d overestimations", len(shared), len(ovs))
+	}
+	for k, ov := range ovs {
+		one, err := p.GrizzlyGrid([]float64{ov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got strings.Builder
+		digestGrid(&want, one[0])
+		digestGrid(&got, shared[k])
+		if got.String() != want.String() {
+			t.Fatalf("+%g: shared-week grid diverged\n got  %s\n want %s", ov, got.String(), want.String())
+		}
+		if shared[k].Overest != ov {
+			t.Fatalf("grid %d: Overest %g, want %g", k, shared[k].Overest, ov)
+		}
 	}
 }
 

@@ -58,19 +58,21 @@ func RunFig5(p Preset, includeGrizzly bool) (*Fig5, error) {
 			}))
 		}
 	}
+	// The Grizzly panels share one set of weeks and +0 % norms; their
+	// sweeps join the synthetic panels on the shared pool.
+	var griz []*ThroughputGrid
+	var grizErr error
 	if includeGrizzly {
-		for _, ov := range Fig5Overests {
-			ov := ov
-			panels = append(panels, sweep.Submit(pool, func() (*ThroughputGrid, error) {
-				return p.GrizzlyGrid(ov)
-			}))
-		}
+		griz, grizErr = p.GrizzlyGrid(Fig5Overests)
 	}
 	grids, err := sweep.CollectValues(panels)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig5{Panels: grids}, nil
+	if grizErr != nil {
+		return nil, grizErr
+	}
+	return &Fig5{Panels: append(grids, griz...)}, nil
 }
 
 // RunFig5Panel executes a single (largeFrac, overest) panel — the unit the

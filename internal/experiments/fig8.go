@@ -34,7 +34,7 @@ func RunFig8(p Preset, includeGrizzly bool) (*Fig8, error) {
 		}
 		return p.BaselineNorm(trace0.Jobs, p.SystemNodes)
 	})
-	var synth, griz []*sweep.Future[*ThroughputGrid]
+	var synth []*sweep.Future[*ThroughputGrid]
 	for _, ov := range Fig8Overests {
 		ov := ov
 		synth = append(synth, sweep.Submit(pool, func() (*ThroughputGrid, error) {
@@ -49,24 +49,19 @@ func RunFig8(p Preset, includeGrizzly bool) (*Fig8, error) {
 			return p.ThroughputSweep(tr.Jobs, p.SystemNodes, n, "large 50%", ov)
 		}))
 	}
-	if includeGrizzly {
-		for _, ov := range Fig8Overests {
-			ov := ov
-			griz = append(griz, sweep.Submit(pool, func() (*ThroughputGrid, error) {
-				return p.GrizzlyGrid(ov)
-			}))
-		}
-	}
-
+	// The Grizzly grids share one set of weeks and +0 % norms; their
+	// sweeps join the synthetic ones on the shared pool.
 	out := &Fig8{}
+	var grizErr error
+	if includeGrizzly {
+		out.Grizzly, grizErr = p.GrizzlyGrid(Fig8Overests)
+	}
 	var err error
 	if out.Synthetic, err = sweep.CollectValues(synth); err != nil {
 		return nil, err
 	}
-	if includeGrizzly {
-		if out.Grizzly, err = sweep.CollectValues(griz); err != nil {
-			return nil, err
-		}
+	if grizErr != nil {
+		return nil, grizErr
 	}
 	return out, nil
 }

@@ -263,13 +263,11 @@ func runFig5Serial(p Preset, includeGrizzly bool) (*Fig5, error) {
 		}
 	}
 	if includeGrizzly {
-		for _, ov := range Fig5Overests {
-			g, err := p.GrizzlyGrid(ov)
-			if err != nil {
-				return nil, err
-			}
-			out.Panels = append(out.Panels, g)
+		gs, err := p.GrizzlyGrid(Fig5Overests)
+		if err != nil {
+			return nil, err
 		}
+		out.Panels = append(out.Panels, gs...)
 	}
 	return out, nil
 }

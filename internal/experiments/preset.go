@@ -38,11 +38,6 @@ type Preset struct {
 
 	UpdateInterval float64 // dynamic-policy update period (paper: 300 s)
 	Seed           int64
-
-	// Shards partitions the cluster ledger (0 = single shard). Results are
-	// bit-identical at any shard count; experiments shard only when
-	// explicitly asked (dmpsim/dmpexp -shards).
-	Shards int
 }
 
 // Full is the paper-scale preset.
@@ -263,7 +258,6 @@ func (p Preset) ConfigFor(nodes int, mc MemConfig, pol policy.Kind) core.Config 
 			Cores:     32,
 			NormalMB:  mc.NormalMB,
 			LargeFrac: mc.LargeFrac,
-			Shards:    p.Shards,
 		},
 		Policy:         pol,
 		UpdateInterval: p.UpdateInterval,

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dismem/internal/cluster"
 	"dismem/internal/core"
 	"dismem/internal/metrics"
 	"dismem/internal/policy"
@@ -200,7 +201,9 @@ func (s *ScenarioSpec) pressure() (core.PressureMode, error) {
 }
 
 // scenarioPressure is s.pressure plus the one range check that needs the
-// preset: no more pressure domains than the run's resolved node count.
+// preset: an explicit domain count must be one the run's resolved node
+// count partitions into exactly that many contiguous domains
+// (cluster.EffectiveShards), the rule core.Config.Normalize enforces.
 // ScenarioKey, which dmpd calls before admission, and RunScenarioSpecCtx
 // share it, so a spec the daemon admits is a spec that runs as written.
 func (p Preset) scenarioPressure(s *ScenarioSpec) (core.PressureMode, error) {
@@ -208,8 +211,12 @@ func (p Preset) scenarioPressure(s *ScenarioSpec) (core.PressureMode, error) {
 	if err != nil {
 		return 0, err
 	}
-	if nodes := p.scenarioTraceParams(s).SystemNodes; s.Domains > nodes {
-		return 0, fmt.Errorf("scenario: field %q: %d domains exceed the %d-node system", "domains", s.Domains, nodes)
+	if s.Domains > 0 {
+		nodes := p.scenarioTraceParams(s).SystemNodes
+		if built := cluster.EffectiveShards(nodes, s.Domains); built != s.Domains {
+			return 0, fmt.Errorf("scenario: field %q: %d domains are not attainable on the %d-node system (the contiguous partition builds %d)",
+				"domains", s.Domains, nodes, built)
+		}
 	}
 	return pm, nil
 }
@@ -426,7 +433,7 @@ func (p Preset) RunScenarioSpecCtx(ctx context.Context, s *ScenarioSpec) (*Scena
 			})
 		}
 	}
-	rows, err := sweep.Values(sweep.Run(tasks, 0))
+	rows, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, err
 	}

@@ -55,6 +55,7 @@ func TestLoadScenarioRejections(t *testing.T) {
 		{"sub-second update interval", `{"update_interval_s": 1e-9}`, `"update_interval_s"`, false},
 		{"domains above node count", `{"pressure": "domains", "domains": 100000}`, `"domains"`, true},
 		{"domains above trace nodes", `{"pressure": "domains", "domains": 65, "trace": {"system_nodes": 64}}`, `"domains"`, true},
+		{"domains not partitionable", `{"pressure": "domains", "domains": 48}`, `"domains"`, true},
 		{"bad pressure", `{"pressure": "vibes"}`, `"pressure"`, false},
 		{"domains without pressure", `{"domains": 4}`, `"domains"`, false},
 		{"negative domains", `{"pressure": "domains", "domains": -1}`, `"domains"`, false},

@@ -72,7 +72,7 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 			})
 		}
 	}
-	values, err := sweep.Values(sweep.Run(tasks, 0))
+	values, err := sweep.Values(sweep.Run(tasks))
 	if err != nil {
 		return nil, err
 	}
@@ -90,41 +90,60 @@ func (p Preset) ThroughputSweep(jobs []*job.Job, nodes int, norm float64, trace 
 	return g, nil
 }
 
-// GrizzlyGrid runs the sweep over every sampled Grizzly week and averages
-// the normalised throughputs point-wise, as the paper aggregates its seven
-// simulated weeks. Each week is normalised against its own +0 % baseline.
-// A cell is infeasible if any week cannot run its jobs there.
-func (p Preset) GrizzlyGrid(overest float64) (*ThroughputGrid, error) {
+// GrizzlyGrid runs the sweep over every sampled Grizzly week at each of
+// the given overestimations and averages the normalised throughputs
+// point-wise, as the paper aggregates its seven simulated weeks; it returns
+// one grid per overestimation, in order. Each week is normalised against
+// its own +0 % baseline. The weeks and their +0 % norms are built once and
+// shared by every overestimation. A cell is infeasible if any week cannot
+// run its jobs there.
+func (p Preset) GrizzlyGrid(overests []float64) ([]*ThroughputGrid, error) {
 	weeks := p.grizzlyWeeks(math.MaxInt)
 	traces0, err := p.grizzlyJobs(weeks, 0)
 	if err != nil {
 		return nil, err
 	}
-	tracesOv := traces0
-	if overest != 0 {
-		if tracesOv, err = p.grizzlyJobs(weeks, overest); err != nil {
-			return nil, err
-		}
-	}
-	// One norm-then-sweep chain per sampled week, all weeks in flight at
-	// once on the shared pool.
+	// Every (overestimation, week) sweep waits only on its week's norm;
+	// all of them are in flight at once on the shared pool.
 	pool := sweep.SharedPool()
-	futs := make([]*sweep.Future[*ThroughputGrid], len(traces0))
-	for i := range traces0 {
+	norms := make([]*sweep.Future[float64], len(weeks))
+	for i := range weeks {
 		i := i
-		futs[i] = sweep.Submit(pool, func() (*ThroughputGrid, error) {
-			norm, err := p.BaselineNorm(traces0[i], p.GrizzlyNodes)
-			if err != nil {
-				return nil, err
-			}
-			return p.ThroughputSweep(tracesOv[i], p.GrizzlyNodes, norm, "grizzly", overest)
+		norms[i] = sweep.Submit(pool, func() (float64, error) {
+			return p.BaselineNorm(traces0[i], p.GrizzlyNodes)
 		})
 	}
-	grids, err := sweep.CollectValues(futs)
+	cells := make([]*sweep.Future[*ThroughputGrid], 0, len(overests)*len(weeks))
+	for _, ov := range overests {
+		ov := ov
+		for i := range weeks {
+			i := i
+			cells = append(cells, sweep.Submit(pool, func() (*ThroughputGrid, error) {
+				jobs := traces0[i]
+				if ov != 0 {
+					tr, err := p.grizzlyJobs(weeks[i:i+1], ov)
+					if err != nil {
+						return nil, err
+					}
+					jobs = tr[0]
+				}
+				norm, err := norms[i].Get()
+				if err != nil {
+					return nil, err
+				}
+				return p.ThroughputSweep(jobs, p.GrizzlyNodes, norm, "grizzly", ov)
+			}))
+		}
+	}
+	grids, err := sweep.CollectValues(cells)
 	if err != nil {
 		return nil, err
 	}
-	return averageGrids(grids), nil
+	out := make([]*ThroughputGrid, len(overests))
+	for k := range out {
+		out[k] = averageGrids(grids[k*len(weeks) : (k+1)*len(weeks)])
+	}
+	return out, nil
 }
 
 // averageGrids averages matching cells; a cell infeasible in any input

@@ -66,12 +66,6 @@ func Adjust(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int6
 	return NewAdjuster(nil).Adjust(cl, ja, i, targetMB)
 }
 
-// AdjustRanked is Adjust with a custom lender order for growth (used by
-// the topology-aware configuration); nil means the default order.
-func AdjustRanked(cl *cluster.Cluster, ja *cluster.JobAllocation, i int, targetMB int64, ranker LenderRanker) error {
-	return NewAdjuster(ranker).Adjust(cl, ja, i, targetMB)
-}
-
 // AdjustDomains is Adjust with growth confined to the given ledger shards
 // (the job's frozen pressure-domain set, sorted ascending): the grow path
 // borrows only from lenders in doms, preferring the compute node's own

@@ -58,13 +58,6 @@ func (k Kind) String() string {
 // topology-aware nearest-first order) is called on every borrow.
 type LenderRanker func(cl *cluster.Cluster, borrower cluster.NodeID, exclude map[cluster.NodeID]bool) []cluster.NodeID
 
-// MostFreeRanker is the default lender order: free memory descending.
-// Passing it to NewWithRanker is equivalent to passing nil, except that the
-// nil form uses the streaming index fast path.
-func MostFreeRanker(cl *cluster.Cluster, _ cluster.NodeID, exclude map[cluster.NodeID]bool) []cluster.NodeID {
-	return cl.LendersByFreeDesc(exclude)
-}
-
 // Policy decides job placement and whether allocations track usage.
 type Policy interface {
 	Kind() Kind

@@ -36,7 +36,7 @@ func TestNewReturnsMatchingKinds(t *testing.T) {
 }
 
 func TestBaselineCanEverRun(t *testing.T) {
-	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5})
+	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5}, 1)
 	p := New(Baseline)
 	if !p.CanEverRun(cl, testJob(1, 2, 2000)) {
 		t.Fatal("2 large nodes exist; 2x2000MB must be runnable")
@@ -74,7 +74,7 @@ func TestBaselinePlaceExclusiveWholeNode(t *testing.T) {
 }
 
 func TestBaselinePrefersSmallNodes(t *testing.T) {
-	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5})
+	cl := cluster.NewMixed(cluster.Config{Nodes: 4, Cores: 32, NormalMB: 1000, LargeFrac: 0.5}, 1)
 	p := New(Baseline)
 	ja, ok := p.Place(cl, testJob(1, 2, 500))
 	if !ok {
@@ -367,7 +367,7 @@ func TestQuickPlacementExactness(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cl := cluster.NewMixed(cluster.Config{
 			Nodes: 8, Cores: 32, NormalMB: 1024, LargeFrac: 0.25,
-		})
+		}, 1)
 		pol := New(Static)
 		var placed []*cluster.JobAllocation
 		for id := 1; id <= 30; id++ {

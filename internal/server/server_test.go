@@ -392,12 +392,14 @@ func TestValidationAndLookups(t *testing.T) {
 
 	for spec, field := range map[string]string{
 		`{"policies": ["magic"]}`: "policies[0]",
-		// Rejected before admission: one runs forever, one names more
-		// pressure domains than the Bench preset's 32 nodes.
+		// Rejected before admission: one runs forever, the others name
+		// more pressure domains than the Bench preset's 32 nodes, or a
+		// count the node range cannot be cut into (48 on 64 builds 32).
 		`{"update_interval_s": 1e-9}`:                                           `\"update_interval_s\"`,
 		`{"pressure": "domains", "domains": 100000}`:                            `\"domains\"`,
 		`{"pressure": "domains", "domains": 33}`:                                `\"domains\"`,
 		`{"pressure": "domains", "domains": 65, "trace": {"system_nodes": 64}}`: `\"domains\"`,
+		`{"pressure": "domains", "domains": 48, "trace": {"system_nodes": 64}}`: `\"domains\"`,
 	} {
 		resp, body := postSpec(t, ts.Client(), ts.URL, spec)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), field) {

@@ -140,7 +140,7 @@ func TestNestedRunBorrowsSharedPool(t *testing.T) {
 			i := i
 			tasks[i] = func() (int, error) { return i, nil }
 		}
-		return Run(tasks, 0), nil
+		return Run(tasks), nil
 	}
 	outer := make([]Task[int], 8)
 	for i := range outer {
@@ -153,40 +153,13 @@ func TestNestedRunBorrowsSharedPool(t *testing.T) {
 			return sum, nil
 		}
 	}
-	for _, r := range Run(outer, 0) {
+	for _, r := range Run(outer) {
 		if r.Err != nil || r.Value != 28 {
 			t.Fatalf("nested run result %d, %v", r.Value, r.Err)
 		}
 	}
 	if peak, size := p.PeakWorkers(), p.Size(); peak > size {
 		t.Fatalf("worker layer grew to %d goroutines, pool size is %d", peak, size)
-	}
-}
-
-// Run with an explicit window keeps at most that many of the call's tasks
-// unfinished at once.
-func TestRunWindowBound(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	tasks := make([]Task[int], 20)
-	for i := range tasks {
-		tasks[i] = func() (int, error) {
-			n := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			return 0, nil
-		}
-	}
-	if err := FirstError(Run(tasks, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() > 3 {
-		t.Fatalf("window of 3 reached %d tasks in flight", peak.Load())
 	}
 }
 
